@@ -37,14 +37,13 @@
 //   * a dangling read still traps, a cross-thread double free still raises,
 //   * a remotely-freed object's dangling read traps after the drain.
 //
-// --backends: emits a machine-readable backend x threads baseline document
+// --backends: emits a machine-readable revocation x threads baseline document
 // (BENCH_baseline.json) on stdout: the server workload at 1/4/8 threads under
-// each revocation backend (mprotect / batched / pkey), plus the seed-vs-tuned
-// t8 rows the smoke gate is calibrated against. Per row: wall seconds,
-// pairs/sec, and the split syscall counters (mmap/munmap/mprotect/
-// pkey_mprotect), so "the pkey backend issues zero steady-state mprotect" is
-// a greppable fact, not prose. On hosts without MPK the pkey rows record
-// backend_resolved == "batched" — the fallback is measured, never faked.
+// immediate and batched revocation (the tuned shape with only protect_batch
+// deciding), plus the seed and tuned configurations the smoke gate is
+// calibrated against. Per row: wall seconds, pairs/sec, and the split
+// syscall counters (mmap/munmap/mprotect), so "batching cuts mprotect" can be
+// checked against whether throughput moved.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -61,7 +60,6 @@
 #include "core/fault_manager.h"
 #include "core/sharded_heap.h"
 #include "vm/phys_arena.h"
-#include "vm/revoke.h"
 #include "vm/vm_stats.h"
 
 namespace {
@@ -95,13 +93,13 @@ BenchConfig tuned_config() {
   return BenchConfig{"tuned", 1, g};
 }
 
-// Tuned shape pinned to one revocation backend (DPG_REVOKE_BACKEND ignored;
-// the config wins). The engine normalizes the knobs per backend: kMprotect
-// clears the batch knobs, kPkey retags freed spans instead of mprotecting.
-BenchConfig backend_config(dpg::vm::RevokeBackend b) {
+// Tuned shape with revocation set by protect_batch alone: 0 = one mprotect
+// per free, otherwise tuned's queue depth with no byte trigger.
+BenchConfig revocation_config(const char* name, std::size_t protect_batch) {
   BenchConfig c = tuned_config();
-  c.name = dpg::vm::backend_name(b);
-  c.guard.revoke_backend = b;
+  c.name = name;
+  c.guard.protect_batch = protect_batch;
+  c.guard.protect_batch_bytes = 0;
   return c;
 }
 
@@ -139,14 +137,12 @@ struct alignas(64) Ring {
 };
 
 // Point-in-time snapshot of the process-wide syscall counters; rows report
-// the delta across their run. Split per call so the backend rows can show
-// where the syscalls went (the pkey backend's claim is "mprotect == 0 in
-// steady state", which only a split counter can witness).
+// the delta across their run, split per call so a row shows where the
+// syscalls went.
 struct SysSnap {
   std::uint64_t mmap = 0;
   std::uint64_t munmap = 0;
   std::uint64_t mprotect = 0;
-  std::uint64_t pkey_mprotect = 0;
 
   static SysSnap now() {
     const auto& c = dpg::vm::syscall_counters();
@@ -154,12 +150,10 @@ struct SysSnap {
     s.mmap = c.mmap.load(std::memory_order_relaxed);
     s.munmap = c.munmap.load(std::memory_order_relaxed);
     s.mprotect = c.mprotect.load(std::memory_order_relaxed);
-    s.pkey_mprotect = c.pkey_mprotect.load(std::memory_order_relaxed);
     return s;
   }
   SysSnap operator-(const SysSnap& o) const {
-    return SysSnap{mmap - o.mmap, munmap - o.munmap, mprotect - o.mprotect,
-                   pkey_mprotect - o.pkey_mprotect};
+    return SysSnap{mmap - o.mmap, munmap - o.munmap, mprotect - o.mprotect};
   }
 };
 
@@ -170,7 +164,6 @@ struct RunResult {
   SysSnap sys;                    // per-call split of the same window
   double p99_us = 0;
   dpg::core::GuardStats stats;
-  dpg::vm::RevokeBackend resolved = dpg::vm::RevokeBackend::kAuto;
 };
 
 RunResult run_workload(const BenchConfig& cfg, unsigned threads,
@@ -182,10 +175,8 @@ RunResult run_workload(const BenchConfig& cfg, unsigned threads,
   // PROT_NONE spans accumulate VMAs until the kernel refuses mprotect, which
   // measures the governor, not the guard path.
   dpg::core::DegradationGovernor gov;
-  dpg::vm::Revoker revoker;  // per-row: each run resolves its own backend
   GuardConfig guard = cfg.guard;
   guard.governor = &gov;
-  guard.revoker = &revoker;
   guard.freed_va_budget = std::size_t{64} << 20;
   const std::size_t shards =
       cfg.shards_per_thread == 0 ? 1 : cfg.shards_per_thread * threads;
@@ -257,7 +248,6 @@ RunResult run_workload(const BenchConfig& cfg, unsigned threads,
   res.sys = SysSnap::now() - sys_before;
   res.mm_syscalls = res.sys.mmap + res.sys.mprotect;
   res.stats = heap.stats();
-  res.resolved = revoker.active();
   std::vector<double> all;
   for (auto& s : samples) all.insert(all.end(), s.begin(), s.end());
   if (!all.empty()) {
@@ -276,7 +266,7 @@ void print_row(const char* workload, unsigned threads, const BenchConfig& cfg,
   std::printf(
       "%-8s %2u thr  %-8s  %10.0f pairs/s  %6.3f sys/pair  p99 %7.2f us  "
       "(magazine hits %llu/%llu maps, batches %llu, remote %llu, "
-      "mprotect %llu, munmap %llu, pkey_mprotect %llu, recycled %llu, "
+      "mprotect %llu, munmap %llu, recycled %llu, "
       "reused %llu, fixed-recycle %llu)\n",
       workload, threads, cfg.name, pairs_per_sec, sys_per_pair, r.p99_us,
       static_cast<unsigned long long>(r.stats.magazine_hits),
@@ -285,7 +275,6 @@ void print_row(const char* workload, unsigned threads, const BenchConfig& cfg,
       static_cast<unsigned long long>(r.stats.remote_frees),
       static_cast<unsigned long long>(r.sys.mprotect),
       static_cast<unsigned long long>(r.sys.munmap),
-      static_cast<unsigned long long>(r.sys.pkey_mprotect),
       static_cast<unsigned long long>(r.stats.magazine_slots_recycled),
       static_cast<unsigned long long>(r.stats.shadow_pages_reused),
       static_cast<unsigned long long>(r.stats.window_recycle_hits));
@@ -299,75 +288,55 @@ void print_row(const char* workload, unsigned threads, const BenchConfig& cfg,
                                   static_cast<double>(r.pairs), sample);
 }
 
-// --- backend x threads baseline (--backends) -------------------------------
+// --- revocation x threads baseline (--backends) ----------------------------
 
 void json_row(std::FILE* f, const char* workload, unsigned threads,
-              const char* config, const char* requested, const RunResult& r,
-              bool last) {
+              const char* config, const RunResult& r, bool last) {
   std::fprintf(
       f,
       "    {\"workload\":\"%s\",\"threads\":%u,\"config\":\"%s\","
-      "\"backend_requested\":\"%s\",\"backend_resolved\":\"%s\","
       "\"seconds\":%.6f,\"pairs\":%llu,\"pairs_per_sec\":%.0f,"
       "\"mmap\":%llu,\"munmap\":%llu,\"mprotect\":%llu,"
-      "\"pkey_mprotect\":%llu,\"pkey_revocations\":%llu,"
       "\"revoke_batches\":%llu,\"magazine_hits\":%llu,"
       "\"window_recycle_hits\":%llu,\"p99_us\":%.2f}%s\n",
-      workload, threads, config, requested,
-      dpg::vm::backend_name(r.resolved), r.seconds,
+      workload, threads, config, r.seconds,
       static_cast<unsigned long long>(r.pairs), r.pairs / r.seconds,
       static_cast<unsigned long long>(r.sys.mmap),
       static_cast<unsigned long long>(r.sys.munmap),
       static_cast<unsigned long long>(r.sys.mprotect),
-      static_cast<unsigned long long>(r.sys.pkey_mprotect),
-      static_cast<unsigned long long>(r.stats.pkey_revocations),
       static_cast<unsigned long long>(r.stats.revoke_batches),
       static_cast<unsigned long long>(r.stats.magazine_hits),
       static_cast<unsigned long long>(r.stats.window_recycle_hits), r.p99_us,
       last ? "" : ",");
 }
 
-// Emits the BENCH_baseline.json document on stdout: the backend matrix at
-// 1/4/8 threads plus the seed/tuned t8 rows the smoke gate is calibrated
-// against. Progress goes to stderr so `bench_mt --backends > file` is clean.
+// Emits the BENCH_baseline.json document on stdout: immediate, batched, seed
+// and tuned at 1/4/8 threads. Progress goes to stderr so
+// `bench_mt --backends > file` is clean.
 int backends() {
   const std::uint64_t pairs = static_cast<std::uint64_t>(
       dpg::obs::env_long("DPG_BENCH_MT_PAIRS", 20000, 100, 10'000'000));
-  const bool mpk = dpg::vm::Revoker::mpk_supported();
 
   std::printf("{\n");
-  std::printf("  \"type\": \"dpg_backend_baseline\",\n");
-  std::printf("  \"schema\": 1,\n");
+  std::printf("  \"type\": \"dpg_revocation_baseline\",\n");
+  std::printf("  \"schema\": 2,\n");
   std::printf("  \"workload\": \"server\",\n");
   std::printf("  \"pairs_per_thread\": %llu,\n",
               static_cast<unsigned long long>(pairs));
-  std::printf("  \"mpk_supported\": %s,\n", mpk ? "true" : "false");
   std::printf("  \"rows\": [\n");
 
-  struct Cell {
-    const char* config;
-    const char* requested;
-    unsigned threads;
-    BenchConfig bench;
-  };
-  std::vector<Cell> cells;
-  for (unsigned t : {1u, 4u, 8u}) {
-    for (dpg::vm::RevokeBackend b :
-         {dpg::vm::RevokeBackend::kMprotect, dpg::vm::RevokeBackend::kBatched,
-          dpg::vm::RevokeBackend::kPkey}) {
-      cells.push_back(Cell{dpg::vm::backend_name(b), dpg::vm::backend_name(b),
-                           t, backend_config(b)});
+  const BenchConfig configs[] = {
+      revocation_config("immediate", 0),
+      revocation_config("batched", tuned_config().guard.protect_batch),
+      seed_config(), tuned_config()};
+  const unsigned thread_counts[] = {1u, 4u, 8u};
+  std::size_t left = std::size(configs) * std::size(thread_counts);
+  for (unsigned t : thread_counts) {
+    for (const BenchConfig& c : configs) {
+      std::fprintf(stderr, "backends: %s t%u...\n", c.name, t);
+      const RunResult r = run_workload(c, t, true, pairs);
+      json_row(stdout, "server", t, c.name, r, --left == 0);
     }
-  }
-  cells.push_back(Cell{"seed", "auto", 8, seed_config()});
-  cells.push_back(Cell{"tuned", "auto", 8, tuned_config()});
-
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(stderr, "backends: %s t%u...\n", c.config, c.threads);
-    const RunResult r = run_workload(c.bench, c.threads, true, pairs);
-    json_row(stdout, "server", c.threads, c.config, c.requested, r,
-             i + 1 == cells.size());
   }
   std::printf("  ]\n}\n");
   return 0;
@@ -460,26 +429,6 @@ int smoke() {
     if (r->stats.guard_failures != 0) return fail("guard failures in t8 run");
     if (r->stats.frees != r->stats.revoked_spans) {
       return fail("lost revocations in t8 run");
-    }
-  }
-
-  // The pkey-requested configuration keeps full detection accounting whether
-  // it lands on real MPK or the batched fallback (this is the backend-matrix
-  // smoke contract: same frees, same revocations, zero failures).
-  {
-    const BenchConfig pk = backend_config(dpg::vm::RevokeBackend::kPkey);
-    const RunResult r = run_workload(pk, 2, true, t8_pairs / 4);
-    print_row("server", 2, pk, r);
-    if (r.stats.guard_failures != 0) return fail("pkey run guard failures");
-    if (r.stats.frees != r.stats.revoked_spans) {
-      return fail("pkey run lost revocations");
-    }
-    if (r.resolved == dpg::vm::RevokeBackend::kPkey) {
-      // Steady state on real MPK hardware: revocation never touches mprotect.
-      if (r.sys.mprotect != 0) return fail("pkey backend issued mprotect");
-      if (r.stats.pkey_revocations == 0) return fail("pkey revoked nothing");
-    } else if (dpg::vm::Revoker::mpk_supported()) {
-      return fail("pkey requested on MPK hardware but fallback engaged");
     }
   }
 

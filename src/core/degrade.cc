@@ -85,7 +85,6 @@ DegradationGovernor& DegradationGovernor::process() {
                           &c.sample_rate_effective);
     obs::register_counter("dpg_sample_widens", &c.sample_widens);
     obs::register_counter("dpg_sample_tightens", &c.sample_tightens);
-    obs::register_counter("dpg_pkey_fallbacks", &c.pkey_fallbacks);
     // Per-rung residency time (ns). Computed so the current rung's gauge
     // includes the in-progress stay; relaxed loads + clock_gettime only, so
     // these are async-signal-safe like every other exporter path.
@@ -357,17 +356,6 @@ void DegradationGovernor::on_syscall_failure(const char* what,
   if (m == GuardMode::kSampled && widen_sample_rate(what)) return;
   shift_mode(static_cast<GuardMode>(static_cast<int>(m) + 1), what,
              /*is_recovery=*/false);
-}
-
-void DegradationGovernor::on_pkey_fallback(int err) noexcept {
-  ctr_.pkey_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  ctr_.syscall_failures.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(transition_mu_);
-  record_ladder(mode(), mode(), "pkey-fallback", /*is_recovery=*/false);
-  std::fprintf(stderr,
-               "dpguard: pkey_alloc refused (errno %d); revocation falls back "
-               "to batched mprotect\n",
-               err);
 }
 
 void DegradationGovernor::on_arena_exhausted() noexcept {

@@ -27,7 +27,6 @@ using obs::fmt::put_str;
 
 std::atomic<FaultManager::Callback> g_callback{nullptr};
 std::atomic<std::uint64_t> g_detections{0};
-std::atomic<std::uint64_t> g_pkey_faults{0};
 thread_local FaultManager::Probe t_probe;
 
 // Set while the fault path runs on this thread. A second fault with the flag
@@ -352,14 +351,6 @@ void on_fault(int signo, siginfo_t* info, void* uctx) {
     chain_previous(signo, info, uctx);
     return;
   }
-#if defined(SEGV_PKUERR)
-  // MPK backend: the trap came from the protection-key check (the thread's
-  // PKRU denies the revoked key), not the page-table bits. Same registry
-  // resolution, same report — only the counter distinguishes the backends.
-  if (signo == SIGSEGV && info->si_code == SEGV_PKUERR) {
-    g_pkey_faults.fetch_add(1, std::memory_order_relaxed);
-  }
-#endif
   const ObjectState state = rec->state.load(std::memory_order_acquire);
   const bool in_guard =
       rec->guard_length != 0 &&
@@ -429,7 +420,6 @@ void FaultManager::install() {
   std::call_once(once, [] {
     install_handlers();
     obs::register_counter("dpg_detections", &g_detections);
-    obs::register_counter("dpg_pkey_faults", &g_pkey_faults);
   });
 }
 
@@ -448,10 +438,6 @@ void FaultManager::raise_software(const DanglingReport& report) {
 
 std::uint64_t FaultManager::detections() const noexcept {
   return g_detections.load(std::memory_order_relaxed);
-}
-
-std::uint64_t FaultManager::pkey_faults() const noexcept {
-  return g_pkey_faults.load(std::memory_order_relaxed);
 }
 
 FaultManager::Probe& FaultManager::thread_probe() noexcept { return t_probe; }

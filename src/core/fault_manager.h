@@ -70,11 +70,6 @@ class FaultManager {
   // Total dangling uses detected (hardware + software) in this process.
   [[nodiscard]] std::uint64_t detections() const noexcept;
 
-  // Of those, traps whose siginfo carried SEGV_PKUERR — the MPK backend's
-  // protection-key denial rather than a PROT_NONE page-permission fault
-  // (vm/revoke.h). Always 0 under the mprotect/batched backends.
-  [[nodiscard]] std::uint64_t pkey_faults() const noexcept;
-
   // --- probe support (used by catch_dangling below) ---
   struct Probe {
     sigjmp_buf env;

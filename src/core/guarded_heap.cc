@@ -71,38 +71,9 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
       gov_(cfg.governor != nullptr ? cfg.governor
                                    : &DegradationGovernor::process()),
       sampled_(cfg.sampled_table != nullptr ? cfg.sampled_table
-                                            : &own_sampled_),
-      revoker_(cfg.revoker != nullptr ? cfg.revoker : &own_revoker_) {
+                                            : &own_sampled_) {
   head_.prev = &head_;
   head_.next = &head_;
-  revoker_->init(cfg_.revoke_backend);
-  // Normalize the batch knobs to the resolved backend: a forced per-free
-  // backend must not be silently batched, and a forced batched backend needs
-  // at least one flush trigger. kAuto keeps the legacy knob semantics
-  // byte-for-byte; kPkey composes with whatever batching is configured.
-  switch (revoker_->active()) {
-    case vm::RevokeBackend::kMprotect:
-      cfg_.protect_batch = 0;
-      cfg_.protect_batch_bytes = 0;
-      break;
-    case vm::RevokeBackend::kBatched:
-      if (cfg_.protect_batch <= 1 && cfg_.protect_batch_bytes == 0) {
-        cfg_.protect_batch = 64;
-      }
-      break;
-    case vm::RevokeBackend::kAuto:
-    case vm::RevokeBackend::kPkey:
-      break;
-  }
-  if (const int err = revoker_->consume_fallback_errno(); err != 0) {
-    // pkey was requested but pkey_alloc refused (ENOSYS/ENOSPC/injected):
-    // exactly one engine per Revoker lands here and reports the ladder
-    // event. Detection stays full through the batched mprotect path.
-    gov_->on_pkey_fallback(err);
-    obs::record_event(obs::EventKind::kPkeyFallback,
-                      static_cast<std::uintptr_t>(err), 0);
-  }
-  revoker_->attach_thread();
   // Magazines need every span page to be an arena alias; a trailing guard
   // page cannot come from the magazine, so the config is mutually exclusive.
   if (cfg_.magazine_slots >= 2 && !cfg_.trailing_guard_page) {
@@ -119,11 +90,6 @@ ShadowEngine::~ShadowEngine() { release_all(); }
 
 void* ShadowEngine::malloc(std::size_t size, SiteId site) {
   obs::ScopedLatency lat(obs::Hist::kAllocNs);
-  // Every entry path installs the thread's PKRU denial of the revoked key
-  // (pure register write, no-op unless the pkey backend is active), so any
-  // thread that touches the heap is guaranteed to trap on revoked spans
-  // without depending on the kernel's init_pkru default.
-  revoker_->attach_thread();
   stage_alloc_stack();
   std::lock_guard lock(mu_);
   return do_alloc_locked(size, site);
@@ -135,7 +101,6 @@ void* ShadowEngine::calloc(std::size_t count, std::size_t size, SiteId site) {
   }
   const std::size_t total = count * size;
   obs::ScopedLatency lat(obs::Hist::kAllocNs);
-  revoker_->attach_thread();
   stage_alloc_stack();
   std::lock_guard lock(mu_);
   void* p = do_alloc_locked(total, site);
@@ -146,7 +111,6 @@ void* ShadowEngine::calloc(std::size_t count, std::size_t size, SiteId site) {
 
 void* ShadowEngine::malloc_unguarded(std::size_t size, SiteId site) {
   (void)site;  // diagnostics parity with malloc; nothing to record per object
-  revoker_->attach_thread();
   std::lock_guard lock(mu_);
   void* p = alloc_canonical_locked(size);
   if (p != nullptr) {
@@ -158,14 +122,12 @@ void* ShadowEngine::malloc_unguarded(std::size_t size, SiteId site) {
 void ShadowEngine::free_unguarded(void* p, SiteId site) {
   (void)site;
   if (p == nullptr) return;
-  revoker_->attach_thread();
   std::lock_guard lock(mu_);
   under_.free(p);
 }
 
 void* ShadowEngine::realloc(void* p, std::size_t new_size, SiteId site) {
   if (p == nullptr) return malloc(new_size, site);
-  revoker_->attach_thread();
   // One capture serves both halves of the move: the new record's alloc stack
   // and the old record's free stack are the same realloc call site.
   stage_alloc_stack();
@@ -691,7 +653,6 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
 void ShadowEngine::free(void* p, SiteId site) {
   if (p == nullptr) return;
   obs::ScopedLatency lat(obs::Hist::kFreeNs);
-  revoker_->attach_thread();
   stage_free_stack();
   std::unique_lock lock(mu_);
   free_locked(lock, p, site);
@@ -763,17 +724,12 @@ void ShadowEngine::revoke_locked(ObjectRecord* rec) {
     pending_protect_bytes_ += rec->span_length;
     return;
   }
-  // Backend dispatch: PROT_NONE through the arena, or a retag to the revoked
-  // protection key (vm/revoke.h) — either way the span traps from here on.
-  const vm::sys::IoResult pr = revoker_->revoke(
-      arena_, reinterpret_cast<void*>(rec->shadow_base), rec->span_length);
+  const vm::sys::IoResult pr = arena_.try_revoke(
+      reinterpret_cast<void*>(rec->shadow_base), rec->span_length);
   stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
   freed_bytes_held_ += rec->span_length;
   rec->revocation_done = true;
   if (pr.ok()) {
-    if (revoker_->pkey_active()) {
-      stats_.pkey_revocations.fetch_add(1, std::memory_order_relaxed);
-    }
     stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
     under_.free(reinterpret_cast<void*>(rec->canonical));
   } else {
@@ -908,7 +864,6 @@ void ShadowEngine::free_locked(std::unique_lock<std::mutex>& lock, void* p,
 void ShadowEngine::free_remote(void* p, SiteId site) {
   if (p == nullptr) return;
   obs::ScopedLatency lat(obs::Hist::kFreeNs);
-  revoker_->attach_thread();
   stage_free_stack();
   const std::uintptr_t user = vm::addr(p);
   const ObjectRecord* found = ShadowRegistry::global().lookup(user);
@@ -1029,16 +984,13 @@ void ShadowEngine::flush_protections_locked() {
       stats_.protect_calls_saved.fetch_add(1, std::memory_order_relaxed);
       ++j;
     }
-    const vm::sys::IoResult r = revoker_->revoke(
-        arena_, reinterpret_cast<void*>(run_base), run_len);
+    const vm::sys::IoResult r =
+        arena_.try_revoke(reinterpret_cast<void*>(run_base), run_len);
     stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
     if (r.ok()) {
       if (j - i > 1) {
         stats_.revoke_coalesced_pages.fetch_add(run_len / vm::kPageSize,
                                                 std::memory_order_relaxed);
-      }
-      if (revoker_->pkey_active()) {
-        stats_.pkey_revocations.fetch_add(j - i, std::memory_order_relaxed);
       }
       stats_.revoked_spans.fetch_add(j - i, std::memory_order_relaxed);
       for (std::size_t k = i; k < j; ++k) {
@@ -1053,16 +1005,12 @@ void ShadowEngine::flush_protections_locked() {
       gov_->on_syscall_failure("protect-batch", r.err);
       for (std::size_t k = i; k < j; ++k) {
         ObjectRecord* rec = pending_protect_[k];
-        const vm::sys::IoResult r2 = revoker_->revoke(
-            arena_, reinterpret_cast<void*>(rec->shadow_base),
-            rec->span_length);
+        const vm::sys::IoResult r2 = arena_.try_revoke(
+            reinterpret_cast<void*>(rec->shadow_base), rec->span_length);
         stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
         freed_bytes_held_ += rec->span_length;
         rec->revocation_done = true;
         if (r2.ok()) {
-          if (revoker_->pkey_active()) {
-            stats_.pkey_revocations.fetch_add(1, std::memory_order_relaxed);
-          }
           stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
           under_.free(reinterpret_cast<void*>(rec->canonical));
         } else {

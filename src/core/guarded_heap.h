@@ -54,7 +54,6 @@
 #include "core/registry.h"
 #include "core/sampled.h"
 #include "core/stats.h"
-#include "vm/revoke.h"
 #include "vm/shadow_map.h"
 #include "vm/va_freelist.h"
 
@@ -117,17 +116,6 @@ struct GuardConfig {
   // keeps a private table, correct for single-engine owners (GuardedHeap,
   // pools whose frees route back to the allocating pool).
   SampledTable* sampled_table = nullptr;
-  // Revocation backend (vm/revoke.h). kAuto keeps the legacy behaviour (the
-  // batch knobs above decide) unless DPG_REVOKE_BACKEND overrides it.
-  // kMprotect forces the per-free path (batch knobs cleared), kBatched forces
-  // the queue (protect_batch defaults to 64 if neither knob is set), kPkey
-  // retags freed spans to the revoked protection key — composing with
-  // whatever batching is configured — and falls back to kBatched when
-  // pkey_alloc is refused.
-  vm::RevokeBackend revoke_backend = vm::RevokeBackend::kAuto;
-  // Shared Revoker (ShardedHeap passes one so all shards deny a single key
-  // and pay one pkey_alloc); nullptr = the engine owns a private one.
-  vm::Revoker* revoker = nullptr;
   // MAP_FIXED VA recycling: released shadow spans and retired magazine runs
   // park on a per-shard list (bounded to this many discontiguous runs)
   // instead of round-tripping through the shared VaFreeList. Parked spans
@@ -313,11 +301,6 @@ class ShadowEngine {
   // Sampled-rung fast-path ledger: the config's shared table, else private.
   SampledTable own_sampled_;
   SampledTable* sampled_;
-
-  // Revocation backend: the config's shared Revoker, else private. Resolved
-  // (and, for kPkey, the key allocated) in the constructor.
-  vm::Revoker own_revoker_;
-  vm::Revoker* revoker_;
 
   // Per-shard MAP_FIXED recycle cache (cfg_.window_recycle_cap runs max,
   // sorted by base, contiguous neighbours merged): released shadow spans and

@@ -30,9 +30,6 @@ ShardedHeap::ShardedHeap(vm::PhysArena& arena, GuardConfig cfg,
   // One sampled-rung ledger across shards (the underlying heap is shared, so
   // a fast-path pointer may come back on any shard's free path).
   if (cfg.sampled_table == nullptr) cfg.sampled_table = &sampled_;
-  // One Revoker across shards: a single revoked key, one pkey_alloc, and
-  // exactly one pkey-fallback ladder event if it is refused.
-  if (cfg.revoker == nullptr) cfg.revoker = &revoker_;
   // freed_va_budget bounds what ONE engine may hold in revoked-but-unreleased
   // spans; the kernel's vm.max_map_count is a per-process limit, so split the
   // caller's bound across shards — otherwise N shards hold N× the configured

@@ -101,11 +101,6 @@ class ShardedHeap {
   // Sampled-rung ledger, shared like the heap: a fast-path object allocated
   // on one shard may be freed through any shard's registry-miss path.
   SampledTable sampled_;
-  // One Revoker for all shards: a single revoked protection key (each
-  // process gets 15 user keys at most — one per shard would exhaust them by
-  // shard 16) and one pkey_alloc. Declared before engines_ so the key
-  // outlives every engine's release_all.
-  vm::Revoker revoker_;
   // Engines must be destroyed before the members they reference; keep last.
   std::vector<std::unique_ptr<ShadowEngine>> engines_;
 };

@@ -98,10 +98,6 @@ struct GuardStats {
                                            // the generation check
   std::uint64_t tag_mismatches = 0;       // lock-and-key detections: pointer
                                            // tag != slot generation word
-  std::uint64_t pkey_revocations = 0;     // spans revoked by retagging to the
-                                           // revoked protection key (the MPK
-                                           // backend; the mprotect syscall
-                                           // counter stays untouched)
   std::uint64_t window_recycle_hits = 0;  // aliases placed MAP_FIXED over a
                                            // span from the per-shard recycle
                                            // cache (no freelist round trip)
@@ -136,7 +132,6 @@ struct GuardStats {
     tagged_allocs += o.tagged_allocs;
     tagged_frees += o.tagged_frees;
     tag_mismatches += o.tag_mismatches;
-    pkey_revocations += o.pkey_revocations;
     window_recycle_hits += o.window_recycle_hits;
     window_recycle_puts += o.window_recycle_puts;
     live_records += o.live_records;
@@ -173,7 +168,6 @@ struct GuardCounters {
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> tagged_allocs{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> tagged_frees{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> tag_mismatches{0};
-  alignas(vm::kCacheLine) std::atomic<std::uint64_t> pkey_revocations{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> window_recycle_hits{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> window_recycle_puts{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> live_records{0};
@@ -209,7 +203,6 @@ struct GuardCounters {
     s.tagged_allocs = tagged_allocs.load(std::memory_order_relaxed);
     s.tagged_frees = tagged_frees.load(std::memory_order_relaxed);
     s.tag_mismatches = tag_mismatches.load(std::memory_order_relaxed);
-    s.pkey_revocations = pkey_revocations.load(std::memory_order_relaxed);
     s.window_recycle_hits =
         window_recycle_hits.load(std::memory_order_relaxed);
     s.window_recycle_puts =

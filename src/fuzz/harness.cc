@@ -149,7 +149,6 @@ core::GuardConfig guard_config(const FuzzConfig& cfg,
   gc.protect_batch = cfg.protect_batch;
   gc.protect_batch_bytes = cfg.protect_batch_bytes;
   gc.magazine_slots = cfg.magazine_slots;
-  gc.revoke_backend = static_cast<vm::RevokeBackend>(cfg.revoke_backend);
   gc.window_recycle_cap = cfg.recycle_cap;
   gc.governor = gov;
   return gc;
@@ -917,17 +916,6 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
-    // MPK revocation backend. Detection semantics are backend-invariant, so
-    // the cell runs the identical oracle lockstep on every host: on MPK
-    // hardware freed spans retag to the revoked key (SEGV_PKUERR traps), on
-    // anything else the Revoker's batched-mprotect fallback engages — and
-    // both must agree with the oracle op for op.
-    FuzzConfig c = base("pkey-batch16");
-    c.revoke_backend = 3;  // vm::RevokeBackend::kPkey
-    c.protect_batch = 16;
-    v.push_back(c);
-  }
-  {
     // MAP_FIXED recycle cache (DESIGN.md §16) with a deliberately tiny cap:
     // parked spans coalesce, split, and overflow to the shared freelist all
     // within one run, and none of it may perturb detection.
@@ -1017,19 +1005,6 @@ std::vector<FuzzConfig> matrix(std::size_t n_ops) {
     FuzzConfig c = base("tag-wrap2");
     c.tag_lane = true;
     c.tag_bits = 2;
-    v.push_back(c);
-  }
-  {
-    // pkey backend under cross-thread frees: one shared Revoker (one revoked
-    // key) serves all four shards, remote frees retag spans another lane
-    // allocated. On non-MPK hosts the same cell exercises the fallback under
-    // the identical schedule.
-    FuzzConfig c = base("pkey-4shard-mt");
-    c.revoke_backend = 3;
-    c.shards = 4;
-    c.protect_batch = 16;
-    c.magazine_slots = 64;
-    c.gen.lanes = 4;
     v.push_back(c);
   }
   {

@@ -190,7 +190,6 @@ std::string to_replay(const FuzzConfig& cfg, const Trace& trace) {
   out << "oracle_bug " << (cfg.oracle_bug ? 1 : 0) << "\n";
   out << "tag_lane " << (cfg.tag_lane ? 1 : 0) << "\n";
   out << "tag_bits " << cfg.tag_bits << "\n";
-  out << "revoke_backend " << cfg.revoke_backend << "\n";
   out << "recycle_cap " << cfg.recycle_cap << "\n";
   out << "seed " << trace.seed << "\n";
   out << "lanes " << trace.lanes << "\n";
@@ -245,6 +244,11 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       if (c.fault_plan == "-") c.fault_plan.clear();
     } else if (tag == "forced_mode") {
       in >> c.forced_mode;
+      // core::GuardMode as int, or -1 for the unforced ladder; the harness
+      // casts it straight to the enum, so anything else must not reach it.
+      if (c.forced_mode < -1 || c.forced_mode > 3) {
+        return fail("bad forced_mode");
+      }
     } else if (tag == "sample_rate") {
       in >> c.sample_rate;
     } else if (tag == "oracle_bug") {
@@ -257,11 +261,6 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       c.tag_lane = v != 0;
     } else if (tag == "tag_bits") {
       in >> c.tag_bits;
-    } else if (tag == "revoke_backend") {
-      in >> c.revoke_backend;
-      if (c.revoke_backend < 0 || c.revoke_backend > 3) {
-        return fail("bad revoke_backend");
-      }
     } else if (tag == "recycle_cap") {
       in >> c.recycle_cap;
     } else if (tag == "seed") {

@@ -114,12 +114,6 @@ struct FuzzConfig {
   // lane). Narrow widths force wraps, exercising the reuse-window oracle
   // branch; the default is the full width.
   unsigned tag_bits = 15;
-  // Revocation backend (vm::RevokeBackend as int: 0 auto, 1 mprotect,
-  // 2 batched, 3 pkey). The pkey cell runs the identical oracle lockstep —
-  // which protection mechanism raises the trap is invisible to detection
-  // semantics; on non-MPK hosts the backend resolves to its batched fallback
-  // and the cell still must agree with the oracle.
-  int revoke_backend = 0;
   // GuardConfig::window_recycle_cap for the MAP_FIXED recycle-cache cell.
   std::size_t recycle_cap = 0;
   GenParams gen;

@@ -36,7 +36,6 @@ enum class EventKind : std::uint16_t {
   kDegrade,       // addr = new GuardMode, arg = old GuardMode
   kMagazineMap,   // addr = magazine shadow base, arg = slot pages mapped
   kRemoteDrain,   // addr = shard id, arg = remote frees drained
-  kPkeyFallback,  // addr = pkey_alloc errno, arg = 0 (vm/revoke.h fallback)
 };
 
 [[nodiscard]] constexpr const char* to_string(EventKind k) noexcept {
@@ -53,7 +52,6 @@ enum class EventKind : std::uint16_t {
     case EventKind::kDegrade: return "degrade";
     case EventKind::kMagazineMap: return "magazine-map";
     case EventKind::kRemoteDrain: return "remote-drain";
-    case EventKind::kPkeyFallback: return "pkey-fallback";
   }
   return "?";
 }

@@ -135,18 +135,6 @@ sys::IoResult PhysArena::try_revoke(void* p, std::size_t len) noexcept {
   return r;
 }
 
-sys::IoResult PhysArena::try_revoke_pkey(void* p, std::size_t len,
-                                         int pkey) noexcept {
-  sys::IoResult r =
-      sys::pkey_protect(p, page_up(len), PROT_READ | PROT_WRITE, pkey);
-  if (!r.ok() && r.err == ENOMEM) {
-    if (release_relief() > 0) {
-      r = sys::pkey_protect(p, page_up(len), PROT_READ | PROT_WRITE, pkey);
-    }
-  }
-  return r;
-}
-
 sys::IoResult PhysArena::try_protect_rw(void* p, std::size_t len) noexcept {
   return sys::protect(p, page_up(len), PROT_READ | PROT_WRITE);
 }

@@ -94,12 +94,6 @@ class PhysArena {
   // like mmap does. On ENOMEM the relief lists are released (coalesce +
   // munmap of every recyclable shadow span) and the protect retried once.
   sys::IoResult try_revoke(void* p, std::size_t len) noexcept;
-  // MPK revocation: retag [p, p+len) with the revoked protection key. The
-  // page-table protections stay PROT_READ|PROT_WRITE — access is denied by
-  // every thread's PKRU (vm/revoke.h), so the mprotect counter stays at zero
-  // on this path. pkey_mprotect splits VMAs exactly like mprotect does, so
-  // the ENOMEM relief-and-retry posture is identical to try_revoke.
-  sys::IoResult try_revoke_pkey(void* p, std::size_t len, int pkey) noexcept;
   static sys::IoResult try_protect_rw(void* p, std::size_t len) noexcept;
   static void protect_none(void* p, std::size_t len);  // throws system_error
   static void protect_rw(void* p, std::size_t len);    // throws system_error

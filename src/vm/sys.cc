@@ -1,7 +1,6 @@
 #include "vm/sys.h"
 
 #include <sys/mman.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -26,9 +25,6 @@ SyscallCounters& syscall_counters() noexcept {
     obs::register_counter("dpg_mprotect_calls", &counters.mprotect);
     obs::register_counter("dpg_mremap_calls", &counters.mremap);
     obs::register_counter("dpg_ftruncate_calls", &counters.ftruncate);
-    obs::register_counter("dpg_pkey_alloc_calls", &counters.pkey_alloc);
-    obs::register_counter("dpg_pkey_mprotect_calls", &counters.pkey_mprotect);
-    obs::register_counter("dpg_pkey_free_calls", &counters.pkey_free);
     return true;
   }();
   (void)registered;
@@ -81,12 +77,6 @@ void register_injection_counters() noexcept {
                           &rule(Call::kMremap).injected);
     obs::register_counter("dpg_fault_injected_ftruncate",
                           &rule(Call::kFtruncate).injected);
-    obs::register_counter("dpg_fault_injected_pkey_alloc",
-                          &rule(Call::kPkeyAlloc).injected);
-    obs::register_counter("dpg_fault_injected_pkey_mprotect",
-                          &rule(Call::kPkeyMprotect).injected);
-    obs::register_counter("dpg_fault_injected_pkey_free",
-                          &rule(Call::kPkeyFree).injected);
     obs::register_counter("dpg_fault_injected_openat",
                           &rule(Call::kOpenAt).injected);
     obs::register_counter("dpg_fault_injected_write",
@@ -158,7 +148,7 @@ constexpr ErrnoName kErrnoNames[] = {
     {"EACCES", EACCES}, {"EMFILE", EMFILE}, {"ENFILE", ENFILE},
     {"EEXIST", EEXIST}, {"EINVAL", EINVAL}, {"EIO", EIO},
     {"ENOSPC", ENOSPC},  // EIO/ENOSPC: the crash-dump writer's openat/write
-    {"ENOSYS", ENOSYS},  // pkey_* on kernels/CPUs without MPK
+    {"ENOSYS", ENOSYS},  // memfd_create on kernels without it
 };
 
 struct ParsedRule {
@@ -243,9 +233,6 @@ struct ParsedRule {
   else if (token_eq(begin, end, "ftruncate")) *out = Call::kFtruncate;
   else if (token_eq(begin, end, "memfd_create") || token_eq(begin, end, "memfd"))
     *out = Call::kMemfd;
-  else if (token_eq(begin, end, "pkey_alloc")) *out = Call::kPkeyAlloc;
-  else if (token_eq(begin, end, "pkey_mprotect")) *out = Call::kPkeyMprotect;
-  else if (token_eq(begin, end, "pkey_free")) *out = Call::kPkeyFree;
   else if (token_eq(begin, end, "openat")) *out = Call::kOpenAt;
   else if (token_eq(begin, end, "write")) *out = Call::kWrite;
   else return false;
@@ -329,9 +316,6 @@ const char* call_name(Call c) noexcept {
     case Call::kMremap: return "mremap";
     case Call::kFtruncate: return "ftruncate";
     case Call::kMemfd: return "memfd_create";
-    case Call::kPkeyAlloc: return "pkey_alloc";
-    case Call::kPkeyMprotect: return "pkey_mprotect";
-    case Call::kPkeyFree: return "pkey_free";
     case Call::kOpenAt: return "openat";
     case Call::kWrite: return "write";
     case Call::kCount: break;
@@ -535,89 +519,6 @@ FdResult memfd(const char* name) noexcept {
       continue;
     }
     return {-1, errno};
-  }
-}
-
-// The pkey wrappers go through ::syscall, not the glibc pkey_* helpers: the
-// helpers are absent on older glibc, and a raw syscall returns a clean ENOSYS
-// on kernels (or architectures) without MPK, which is exactly the fallback
-// signal the revocation backend wants.
-
-KeyResult pkey_alloc() noexcept {
-  init_fault_plan_from_env();
-  syscall_counters().pkey_alloc.fetch_add(1, std::memory_order_relaxed);
-  for (int tries = 0;; ++tries) {
-    if (const int e = fault_check(Call::kPkeyAlloc); e != 0) {
-      if (e == EINTR && tries < kMaxEintrRetries) {
-        g_eintr_retries.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      return {-1, e};
-    }
-#if defined(SYS_pkey_alloc)
-    const long key = ::syscall(SYS_pkey_alloc, 0ul, 0ul);
-    if (key >= 0) return {static_cast<int>(key), 0};
-    if (errno == EINTR && tries < kMaxEintrRetries) {
-      g_eintr_retries.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    return {-1, errno};
-#else
-    return {-1, ENOSYS};
-#endif
-  }
-}
-
-IoResult pkey_protect(void* p, std::size_t len, int prot, int key) noexcept {
-  init_fault_plan_from_env();
-  syscall_counters().pkey_mprotect.fetch_add(1, std::memory_order_relaxed);
-  for (int tries = 0;; ++tries) {
-    if (const int e = fault_check(Call::kPkeyMprotect); e != 0) {
-      if (e == EINTR && tries < kMaxEintrRetries) {
-        g_eintr_retries.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      return {e};
-    }
-#if defined(SYS_pkey_mprotect)
-    if (::syscall(SYS_pkey_mprotect, p, len, prot, key) == 0) return {0};
-    if (errno == EINTR && tries < kMaxEintrRetries) {
-      g_eintr_retries.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    return {errno};
-#else
-    (void)p;
-    (void)len;
-    (void)prot;
-    (void)key;
-    return {ENOSYS};
-#endif
-  }
-}
-
-IoResult pkey_free(int key) noexcept {
-  init_fault_plan_from_env();
-  syscall_counters().pkey_free.fetch_add(1, std::memory_order_relaxed);
-  for (int tries = 0;; ++tries) {
-    if (const int e = fault_check(Call::kPkeyFree); e != 0) {
-      if (e == EINTR && tries < kMaxEintrRetries) {
-        g_eintr_retries.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      return {e};
-    }
-#if defined(SYS_pkey_free)
-    if (::syscall(SYS_pkey_free, key) == 0) return {0};
-    if (errno == EINTR && tries < kMaxEintrRetries) {
-      g_eintr_retries.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    return {errno};
-#else
-    (void)key;
-    return {ENOSYS};
-#endif
   }
 }
 

@@ -49,12 +49,6 @@ enum class Call : unsigned {
   kMremap,
   kFtruncate,
   kMemfd,
-  // Memory-protection-key syscalls (vm/revoke.h's MPK backend). Raw-syscall
-  // wrappers: they must work on any glibc and return ENOSYS cleanly where the
-  // kernel or architecture lacks them.
-  kPkeyAlloc,
-  kPkeyMprotect,
-  kPkeyFree,
   // IO calls issued by the crash-dump writer (obs/dump.cc). There are no
   // wrappers here — the writer consults check_fault() through the io-fault
   // hook this layer installs — but the plan grammar, counters, and
@@ -86,14 +80,6 @@ struct FdResult {
   [[nodiscard]] bool ok() const noexcept { return err == 0; }
 };
 
-// Result of pkey_alloc: a protection key in [1, 15], or an errno (ENOSYS on
-// kernels/CPUs without MPK, ENOSPC when all keys are taken).
-struct KeyResult {
-  int key = -1;
-  int err = 0;
-  [[nodiscard]] bool ok() const noexcept { return err == 0; }
-};
-
 // --- wrappers (EINTR-retrying, Result-returning, counted) -------------------
 
 [[nodiscard]] MapResult map(void* hint, std::size_t len, int prot, int flags,
@@ -106,18 +92,6 @@ IoResult unmap(void* p, std::size_t len) noexcept;
 IoResult protect(void* p, std::size_t len, int prot) noexcept;
 IoResult truncate_fd(int fd, off_t len) noexcept;
 [[nodiscard]] FdResult memfd(const char* name) noexcept;
-
-// pkey_alloc(0, 0): a fresh protection key with default (allow) rights.
-// Returns ENOSYS where the syscall or hardware is absent — callers treat
-// that exactly like an injected ENOSYS and fall back.
-[[nodiscard]] KeyResult pkey_alloc() noexcept;
-
-// pkey_mprotect(p, len, prot, key): retag a span with `key`, keeping the
-// page-table protections at `prot`. Counted separately from mprotect — the
-// MPK backend's "zero mprotect syscalls" claim is checkable from counters.
-IoResult pkey_protect(void* p, std::size_t len, int prot, int key) noexcept;
-
-IoResult pkey_free(int key) noexcept;
 
 // --- fault-injection plan ---------------------------------------------------
 

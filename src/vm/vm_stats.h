@@ -38,19 +38,13 @@ struct SyscallCounters {
   alignas(kCacheLine) std::atomic<std::uint64_t> mprotect{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> mremap{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> ftruncate{0};
-  alignas(kCacheLine) std::atomic<std::uint64_t> pkey_alloc{0};
-  alignas(kCacheLine) std::atomic<std::uint64_t> pkey_mprotect{0};
-  alignas(kCacheLine) std::atomic<std::uint64_t> pkey_free{0};
 
   [[nodiscard]] std::uint64_t total() const noexcept {
     return mmap.load(std::memory_order_relaxed) +
            munmap.load(std::memory_order_relaxed) +
            mprotect.load(std::memory_order_relaxed) +
            mremap.load(std::memory_order_relaxed) +
-           ftruncate.load(std::memory_order_relaxed) +
-           pkey_alloc.load(std::memory_order_relaxed) +
-           pkey_mprotect.load(std::memory_order_relaxed) +
-           pkey_free.load(std::memory_order_relaxed);
+           ftruncate.load(std::memory_order_relaxed);
   }
   void reset() noexcept {
     mmap = 0;
@@ -58,9 +52,6 @@ struct SyscallCounters {
     mprotect = 0;
     mremap = 0;
     ftruncate = 0;
-    pkey_alloc = 0;
-    pkey_mprotect = 0;
-    pkey_free = 0;
   }
 };
 

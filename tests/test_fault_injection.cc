@@ -18,10 +18,7 @@
 #include "core/degrade.h"
 #include "core/fault_manager.h"
 #include "core/guarded_heap.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "vm/page.h"
-#include "vm/revoke.h"
 #include "vm/phys_arena.h"
 #include "vm/sys.h"
 #include "vm/va_freelist.h"
@@ -74,6 +71,8 @@ TEST_F(FaultInjectionTest, SpecGrammarRejectsMalformedPlansAtomically) {
   EXPECT_FALSE(vm::sys::set_fault_plan("mmap:nth=0"));          // nth is 1-based
   EXPECT_FALSE(vm::sys::set_fault_plan("mmap:prob=2.0"));       // p > 1
   EXPECT_FALSE(vm::sys::set_fault_plan("mmap:bogus=1"));        // unknown option
+  // A stale plan naming a call the shim no longer wraps fails loudly.
+  EXPECT_FALSE(vm::sys::set_fault_plan("pkey_mprotect:errno=EACCES"));
   // A plan is all-or-nothing: the valid clause before the bad one must not
   // have armed anything.
   EXPECT_FALSE(vm::sys::set_fault_plan("mmap:errno=ENOMEM,junk"));
@@ -424,117 +423,6 @@ TEST_F(FaultInjectionTest, DegradedFreeNeverRaisesAFalsePositive) {
   EXPECT_FALSE(r2.has_value());
   EXPECT_GE(heap.stats().sampled_frees, 1u);
   EXPECT_GE(heap.stats().quarantined_frees, 1u);
-}
-
-// --- pkey backend fallback (DESIGN.md §16) ---------------------------------
-
-TEST_F(FaultInjectionTest, SpecGrammarAcceptsPkeyCalls) {
-  EXPECT_TRUE(vm::sys::set_fault_plan("pkey_alloc:errno=ENOSYS:nth=1"));
-  EXPECT_TRUE(vm::sys::set_fault_plan("pkey_alloc:errno=ENOSPC"));
-  EXPECT_TRUE(vm::sys::set_fault_plan("pkey_mprotect:errno=EACCES:every=3"));
-  EXPECT_TRUE(vm::sys::set_fault_plan("pkey_free:errno=EINVAL"));
-  EXPECT_TRUE(vm::sys::set_fault_plan(""));
-}
-
-// The Revoker's fallback contract, end to end: a refused pkey_alloc is not an
-// error. The heap comes up on the batched mprotect backend, the governor logs
-// the event without surrendering a rung, and detection stays exact. The
-// refusal is injected, so this runs identically on MPK and non-MPK hosts.
-void expect_pkey_fallback_to_batched(const char* plan, int want_errno) {
-  obs::set_trace_enabled(true);  // the flight-recorder assertion needs a ring
-  GovernorConfig gcfg;
-  gcfg.recover_after = 0;
-  DegradationGovernor gov(gcfg);
-  vm::PhysArena arena(1u << 24);
-  vm::Revoker revoker;
-  ASSERT_TRUE(vm::sys::set_fault_plan(plan));
-  GuardedHeap heap(arena, {.governor = &gov,
-                           .revoke_backend = vm::RevokeBackend::kPkey,
-                           .revoker = &revoker});
-  vm::sys::clear_fault_plan();
-
-  // The seam resolved to the fallback, once, without touching the ladder.
-  EXPECT_EQ(revoker.active(), vm::RevokeBackend::kBatched);
-  EXPECT_EQ(gov.mode(), GuardMode::kFullGuard);
-  EXPECT_EQ(gov.counters().pkey_fallbacks.load(), 1u);
-  EXPECT_EQ(gov.counters().transitions.load(), 0u);
-
-  // The refusal is postmortem-visible: a from==to LadderRecord and a
-  // flight-recorder event carrying the errno.
-  LadderRecord recs[16];
-  const std::size_t n = gov.history(recs, 16);
-  bool ladder_seen = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::strcmp(recs[i].reason, "pkey-fallback") == 0) {
-      EXPECT_EQ(recs[i].from_mode, recs[i].to_mode);
-      ladder_seen = true;
-    }
-  }
-  EXPECT_TRUE(ladder_seen);
-  obs::TraceEvent evs[obs::TraceRing::kCapacity];
-  const std::size_t ne = obs::capture_recent(evs, obs::TraceRing::kCapacity);
-  bool event_seen = false;
-  for (std::size_t i = 0; i < ne; ++i) {
-    if (evs[i].kind == static_cast<std::uint16_t>(obs::EventKind::kPkeyFallback) &&
-        evs[i].addr == static_cast<std::uint64_t>(want_errno)) {
-      event_seen = true;
-    }
-  }
-  EXPECT_TRUE(event_seen);
-
-  // Full detection through the fallback: clean frees stay silent (no false
-  // positives), and a dangling use still traps once the batch drains.
-  auto* p = static_cast<char*>(heap.malloc(48));
-  ASSERT_NE(p, nullptr);
-  std::memset(p, 'k', 48);
-  const auto clean = catch_dangling([&] { heap.free(launder_ptr(p)); });
-  EXPECT_FALSE(clean.has_value());
-  heap.engine().flush_protections();
-  const auto report = catch_dangling([&] {
-    volatile char c = *launder_ptr(p);
-    (void)c;
-  });
-  EXPECT_TRUE(report.has_value());
-  EXPECT_EQ(heap.stats().guard_failures, 0u);
-  EXPECT_EQ(heap.stats().pkey_revocations, 0u);  // fallback, not pkey
-  obs::set_trace_enabled(false);
-}
-
-TEST_F(FaultInjectionTest, PkeyAllocEnosysFallsBackToBatched) {
-  expect_pkey_fallback_to_batched("pkey_alloc:errno=ENOSYS:nth=1", ENOSYS);
-}
-
-TEST_F(FaultInjectionTest, PkeyAllocEnospcFallsBackToBatched) {
-  expect_pkey_fallback_to_batched("pkey_alloc:errno=ENOSPC:nth=1", ENOSPC);
-}
-
-TEST_F(FaultInjectionTest, PkeyBackendActivatesOnMpkHardware) {
-  if (!vm::Revoker::mpk_supported()) {
-    GTEST_SKIP() << "no MPK on this host; the fallback tests cover the seam";
-  }
-  DegradationGovernor gov;
-  vm::PhysArena arena(1u << 24);
-  vm::Revoker revoker;
-  GuardedHeap heap(arena, {.governor = &gov,
-                           .revoke_backend = vm::RevokeBackend::kPkey,
-                           .revoker = &revoker});
-  EXPECT_EQ(revoker.active(), vm::RevokeBackend::kPkey);
-  EXPECT_GE(revoker.revoked_key(), 1);
-  EXPECT_EQ(gov.counters().pkey_fallbacks.load(), 0u);
-  const std::uint64_t mprotects_before =
-      vm::syscall_counters().mprotect.load();
-  auto* p = static_cast<char*>(heap.malloc(64));
-  heap.free(p);
-  heap.engine().flush_protections();
-  EXPECT_GE(heap.stats().pkey_revocations, 1u);
-  // The revocation went through pkey_mprotect: the mprotect counter did not
-  // move for this free.
-  EXPECT_EQ(vm::syscall_counters().mprotect.load(), mprotects_before);
-  const auto report = catch_dangling([&] {
-    volatile char c = *launder_ptr(p);
-    (void)c;
-  });
-  EXPECT_TRUE(report.has_value());
 }
 
 // --- fault-manager hardening ----------------------------------------------

@@ -78,8 +78,7 @@ TEST(FuzzTrace, ReplayRoundTripIsByteIdentical) {
   FuzzConfig cfg;
   cfg.name = "batch16-1shard";
   cfg.protect_batch = 16;
-  cfg.revoke_backend = 3;  // backend + recycle fields ride the header too
-  cfg.recycle_cap = 32;
+  cfg.recycle_cap = 32;  // the recycle field rides the header too
   cfg.gen.n_ops = 200;
   const Trace t = generate(dpg::testing::dpg_test_seed(7), cfg.gen);
   const std::string text = to_replay(cfg, t);
@@ -104,14 +103,15 @@ TEST(FuzzTrace, ReplayParserRejectsMalformedInput) {
   EXPECT_FALSE(from_replay("not a dpgf file\n", &cfg, &t, &err));
   const std::string good = to_replay(FuzzConfig{}, generate(1, GenParams{}));
   EXPECT_FALSE(from_replay(good + "BOGUS LINE\n", &cfg, &t, &err));
-  // revoke_backend is a vm::RevokeBackend value; out-of-range must not
-  // silently cast to garbage at SUT construction.
+  // forced_mode is a core::GuardMode value (or -1); out-of-range must not
+  // silently cast to garbage when the harness pins the governor.
   std::string bad = good;
-  const auto pos = bad.find("revoke_backend 0");
+  const std::string unforced = "forced_mode -1";
+  const auto pos = bad.find(unforced);
   ASSERT_NE(pos, std::string::npos);
-  bad.replace(pos, 16, "revoke_backend 7");
+  bad.replace(pos, unforced.size(), "forced_mode 9");
   EXPECT_FALSE(from_replay(bad, &cfg, &t, &err));
-  EXPECT_NE(err.find("revoke_backend"), std::string::npos);
+  EXPECT_NE(err.find("forced_mode"), std::string::npos);
 }
 
 // Tiny in-process run of every matrix cell: the differential harness itself

@@ -194,7 +194,6 @@ int main(int argc, char** argv) {
                 << " lanes=" << cfg.gen.lanes
                 << " tag_lane=" << (cfg.tag_lane ? 1 : 0)
                 << " tag_bits=" << cfg.tag_bits
-                << " backend=" << cfg.revoke_backend
                 << " recycle_cap=" << cfg.recycle_cap << "\n";
     }
     return 0;
