@@ -59,7 +59,9 @@ class ArenaSource final : public CanonicalSource {
 
  private:
   vm::PhysArena& arena_;
-  vm::VaFreeList freelist_;  // canonical extents of destroyed pools
+  // Canonical extents of destroyed pools. Borrowed: they lie inside the
+  // arena's canonical mapping, which this list must never trim or unmap.
+  vm::VaFreeList freelist_{vm::VaFreeList::Ranges::kBorrowed};
 };
 
 // Anonymous-memory source; recycled ranges are kept on a free list too so the

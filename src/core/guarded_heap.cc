@@ -59,6 +59,21 @@ void consume_free_stage(ObjectRecord& rec) noexcept {
                              std::memory_order_release);
 }
 
+// Process-wide keyed-reuse tallies (pool engines come and go; the exported
+// series must survive them). Split so a trace can tell how much of
+// dpg_mprotect_calls re-enables recycled spans rather than revoking frees.
+std::atomic<std::uint64_t> g_va_keyed_hits{0};
+std::atomic<std::uint64_t> g_va_keyed_upgrades{0};
+
+void register_keyed_counters() noexcept {
+  static const bool once = [] {
+    obs::register_counter("dpg_va_keyed_hits", &g_va_keyed_hits);
+    obs::register_counter("dpg_va_keyed_upgrades", &g_va_keyed_upgrades);
+    return true;
+  }();
+  (void)once;
+}
+
 }  // namespace
 
 ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
@@ -83,6 +98,7 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
   remote_drain_threshold_ =
       std::max<std::size_t>(cfg_.protect_batch * 2, std::size_t{256});
   obs::init_from_env();  // idempotent: arms DPG_TRACE / DPG_METRICS_* knobs
+  register_keyed_counters();
   FaultManager::instance().install();
 }
 
@@ -554,6 +570,36 @@ void ShadowEngine::drop_magazines_locked() {
   magazines_.clear();
 }
 
+// Keyed reuse (DESIGN.md §16): a span parked on the shared list that already
+// aliases these canonical pages is handed out without a remap — zero
+// syscalls if it was still read-write at release, one permission upgrade if
+// it was revoked. Either way the kernel replaces no VMA and zaps no PTE.
+void* ShadowEngine::take_alias_locked(std::uintptr_t first_page,
+                                      std::size_t data_span) {
+  if (!cfg_.reuse_shadow_va || shadow_freelist_ == nullptr) return nullptr;
+  const auto a = shadow_freelist_->take_alias(
+      arena_.offset_of(reinterpret_cast<void*>(first_page)), data_span);
+  if (!a) return nullptr;
+  void* sb = reinterpret_cast<void*>(a->range.base);
+  if (!a->rw) {
+    if (!vm::PhysArena::try_protect_rw(sb, a->range.length).ok()) {
+      // Still a dead alias: the caller's miss path remaps it MAP_FIXED (and
+      // owns failure handling), exactly as for any recycled span.
+      shadow_freelist_->put(a->range);
+      return nullptr;
+    }
+    stats_.va_keyed_upgrades.fetch_add(1, std::memory_order_relaxed);
+    g_va_keyed_upgrades.fetch_add(1, std::memory_order_relaxed);
+  }
+  stats_.va_keyed_hits.fetch_add(1, std::memory_order_relaxed);
+  g_va_keyed_hits.fetch_add(1, std::memory_order_relaxed);
+  stats_.shadow_pages_reused.fetch_add(a->range.pages(),
+                                       std::memory_order_relaxed);
+  obs::record_event(obs::EventKind::kShadowMap, a->range.base,
+                    a->range.length);
+  return sb;
+}
+
 void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   // "An allocation request is passed to malloc with the size incremented by
   //  sizeof(addr_t) bytes; the extra bytes at the start of the object will be
@@ -572,6 +618,13 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   // trailing_guard_page is set, so guard == 0 on this path.)
   if (magazine_slots_ != 0) {
     if (void* sb = magazine_claim_locked(first_page, data_span)) {
+      return install_record_locked(sb, span_len, guard, canon_addr, first_page,
+                                   size, site);
+    }
+  }
+
+  if (guard == 0) {
+    if (void* sb = take_alias_locked(first_page, data_span)) {
       return install_record_locked(sb, span_len, guard, canon_addr, first_page,
                                    size, site);
     }
@@ -1049,6 +1102,7 @@ void ShadowEngine::enforce_budget_locked() {
     }
     it = next;
   }
+  park_keyed_locked();
 }
 
 std::size_t ShadowEngine::size_of(const void* p) const {
@@ -1068,13 +1122,21 @@ void ShadowEngine::release_record_locked(ObjectRecord* rec, bool recycle_va) {
     // Parked for a same-size MAP_FIXED re-alias on this shard: no freelist
     // round trip and no munmap. The span is as dead as a freelist span —
     // every release_record_locked caller proved no pointers remain.
-    obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
+  } else if (recycle_va && rec->guard_length == 0 && cfg_.reuse_shadow_va &&
+             shadow_freelist_ != nullptr) {
+    // Keyed by the canonical pages it aliases, so the next allocation on
+    // those pages takes it without a remap. Batched: callers hand the whole
+    // batch to the shared list under one lock (park_keyed_locked).
+    const void* first_page =
+        reinterpret_cast<void*>(vm::page_down(rec->canonical));
+    keyed_batch_.push_back(vm::VaFreeList::Alias{
+        span, arena_.offset_of(first_page),
+        rec->state.load(std::memory_order_relaxed) == ObjectState::kLive});
   } else if (recycle_va && shadow_freelist_ != nullptr) {
-    shadow_freelist_->put(span);  // records the kVaReclaim event
+    shadow_freelist_->put(span);
   } else {
     arena_.unmap(reinterpret_cast<void*>(span.base), span.length);
     gov_->add_vmas(rec->guard_length != 0 ? -2 : -1);
-    obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
   }
   if (rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed &&
       rec->revocation_done) {
@@ -1088,6 +1150,12 @@ void ShadowEngine::release_record_locked(ObjectRecord* rec, bool recycle_va) {
   delete rec;
 }
 
+void ShadowEngine::park_keyed_locked() {
+  if (keyed_batch_.empty()) return;
+  shadow_freelist_->park(keyed_batch_);
+  keyed_batch_.clear();
+}
+
 void ShadowEngine::release_all() {
   std::lock_guard lock(mu_);
   // Pooldestroy contract: callers quiesced every thread that could still
@@ -1098,6 +1166,7 @@ void ShadowEngine::release_all() {
   while (head_.next != &head_) {
     release_record_locked(head_.next, /*recycle_va=*/true);
   }
+  park_keyed_locked();
   drop_magazines_locked();
   drain_recycled_locked();
 }
@@ -1116,6 +1185,7 @@ std::size_t ShadowEngine::reclaim_freed(std::size_t bytes) {
     }
     it = next;
   }
+  park_keyed_locked();
   return reclaimed;
 }
 
@@ -1149,6 +1219,7 @@ void ShadowEngine::reclaim(ObjectRecord* rec) {
   assert(rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed);
   assert(rec->revocation_done);
   release_record_locked(rec, /*recycle_va=*/true);
+  park_keyed_locked();
 }
 
 const ObjectRecord* ShadowEngine::record_of(const void* p) {

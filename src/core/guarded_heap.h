@@ -16,7 +16,9 @@
 // remain: pool destruction (GuardedPool), budgeted reclamation (§3.4
 // strategy 1), or a conservative GC pass (§3.4 strategy 2) push spans onto a
 // shared VA free list, and new shadow mappings are placed over recycled
-// addresses with MAP_FIXED — no munmap per object.
+// addresses with MAP_FIXED — no munmap per object. Spans are parked keyed by
+// the canonical pages they alias, so an allocation on those same pages takes
+// one back with no remap at all (DESIGN.md §16).
 //
 // Scaling layers (DESIGN.md §11):
 //
@@ -272,6 +274,8 @@ class ShadowEngine {
                               std::uintptr_t first_page, std::size_t size,
                               SiteId site);
   void* magazine_claim_locked(std::uintptr_t first_page, std::size_t data_span);
+  void* take_alias_locked(std::uintptr_t first_page, std::size_t data_span);
+  void park_keyed_locked();
   void* take_recycled_locked(std::size_t len) noexcept;
   bool park_recycled_locked(vm::PageRange span);
   void drain_recycled_locked();
@@ -307,6 +311,11 @@ class ShadowEngine {
   // retired magazine runs wait here to be re-aliased, bypassing the shared
   // freelist. Drained to the freelist (or unmapped) at release_all.
   std::vector<vm::PageRange> va_recycle_;
+
+  // Spans released since the last park_keyed_locked(), keyed by the canonical
+  // pages they alias; every release_record_locked caller flushes the batch
+  // to the shared list under one freelist lock acquisition.
+  std::vector<vm::VaFreeList::Alias> keyed_batch_;
 
   // Slot magazines: canonical-window base -> current generation.
   std::size_t magazine_slots_ = 0;  // validated; 0 = off

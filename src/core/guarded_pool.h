@@ -123,9 +123,10 @@ class GuardedPool {
     return engine_.size_of(p);
   }
 
-  // pooldestroy: all shadow spans -> shared VA free list; all canonical
-  // extents -> canonical free list. Safe because the caller (compiler or
-  // PoolScope discipline) guarantees no pointers into the pool survive.
+  // pooldestroy: all shadow spans -> shared VA free list (keyed by the
+  // canonical pages they alias); all canonical extents -> canonical free
+  // list. Safe because the caller (compiler or PoolScope discipline)
+  // guarantees no pointers into the pool survive.
   void destroy() {
     if (destroyed_) return;
     destroyed_ = true;

@@ -102,6 +102,12 @@ struct GuardStats {
                                            // span from the per-shard recycle
                                            // cache (no freelist round trip)
   std::uint64_t window_recycle_puts = 0;  // spans parked on that cache
+  std::uint64_t va_keyed_hits = 0;        // aliases taken from the shared
+                                           // list's keyed index: the span
+                                           // already mapped these canonical
+                                           // pages, so no remap
+  std::uint64_t va_keyed_upgrades = 0;    // of those, revoked spans re-
+                                           // enabled with one mprotect(RW)
   std::size_t live_records = 0;            // live + freed-but-still-guarded
   std::size_t guarded_bytes = 0;           // shadow span bytes currently held
 
@@ -134,6 +140,8 @@ struct GuardStats {
     tag_mismatches += o.tag_mismatches;
     window_recycle_hits += o.window_recycle_hits;
     window_recycle_puts += o.window_recycle_puts;
+    va_keyed_hits += o.va_keyed_hits;
+    va_keyed_upgrades += o.va_keyed_upgrades;
     live_records += o.live_records;
     guarded_bytes += o.guarded_bytes;
     return *this;
@@ -170,6 +178,8 @@ struct GuardCounters {
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> tag_mismatches{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> window_recycle_hits{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> window_recycle_puts{0};
+  alignas(vm::kCacheLine) std::atomic<std::uint64_t> va_keyed_hits{0};
+  alignas(vm::kCacheLine) std::atomic<std::uint64_t> va_keyed_upgrades{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> live_records{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> guarded_bytes{0};
 
@@ -207,6 +217,8 @@ struct GuardCounters {
         window_recycle_hits.load(std::memory_order_relaxed);
     s.window_recycle_puts =
         window_recycle_puts.load(std::memory_order_relaxed);
+    s.va_keyed_hits = va_keyed_hits.load(std::memory_order_relaxed);
+    s.va_keyed_upgrades = va_keyed_upgrades.load(std::memory_order_relaxed);
     s.live_records = static_cast<std::size_t>(
         live_records.load(std::memory_order_relaxed));
     s.guarded_bytes = static_cast<std::size_t>(

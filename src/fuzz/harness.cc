@@ -909,6 +909,18 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
+    // Keyed VA reuse (DESIGN.md §16): pools, immediate revocation, and
+    // objects of at most 256 bytes, so many share a canonical page and each
+    // pool after the first takes its aliases from the keyed index — still
+    // read-write from objects alive at pooldestroy, re-enabled from revoked
+    // ones — and every stale use must still trap.
+    FuzzConfig c = base("pool-alias-reuse");
+    c.mode = HarnessMode::kPool;
+    c.gen.pools = true;
+    c.gen.max_size = 256;
+    v.push_back(c);
+  }
+  {
     // Lock-and-key lane at full tag width: stale uses report synchronously,
     // generation wraps essentially never occur.
     FuzzConfig c = base("tag-lane");

@@ -2,12 +2,16 @@
 // PoolScope discipline, and the shared free list across pools.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <set>
 #include <vector>
 
 #include "core/fault_manager.h"
 #include "core/guarded_pool.h"
+#include "test_seed.h"
+#include "vm/vm_stats.h"
 #include "workloads/common.h"
 
 namespace dpg::core {
@@ -184,6 +188,133 @@ TEST(GuardedPool, ElemHintPacksCanonicalExtents) {
   for (int i = 0; i < 100; ++i) (void)pool.alloc(64);
   EXPECT_EQ(pool.pool_stats().allocations, 100u);
   EXPECT_EQ(pool.pool_stats().live_objects, 100u);
+}
+
+// --- keyed reuse: a destroyed pool's aliases serve the same canonical pages
+
+std::uint64_t mmaps() {
+  return vm::syscall_counters().mmap.load(std::memory_order_relaxed);
+}
+std::uint64_t mprotects() {
+  return vm::syscall_counters().mprotect.load(std::memory_order_relaxed);
+}
+
+TEST(GuardedPoolKeyedReuse, LiveAtDestroyAliasIsReusedWithZeroSyscalls) {
+  GuardedPoolContext ctx;
+  std::uintptr_t first_shadow = 0;
+  {
+    GuardedPool pool(ctx, 48);
+    first_shadow = vm::page_down(vm::addr(pool.alloc(48)));
+  }  // live at pooldestroy: parked read-write
+  GuardedPool pool(ctx, 48);
+  const auto m0 = mmaps();
+  const auto p0 = mprotects();
+  auto* p = static_cast<char*>(pool.alloc(48));
+  EXPECT_EQ(mmaps(), m0);
+  EXPECT_EQ(mprotects(), p0);
+  EXPECT_EQ(vm::page_down(vm::addr(p)), first_shadow);
+  EXPECT_EQ(pool.stats().va_keyed_hits, 1u);
+  EXPECT_EQ(pool.stats().va_keyed_upgrades, 0u);
+  // The reused alias views the new object's canonical bytes.
+  const ObjectRecord* rec = ShadowEngine::record_of(p);
+  ASSERT_NE(rec, nullptr);
+  auto* canon =
+      reinterpret_cast<char*>(rec->canonical + ShadowEngine::kGuardHeader);
+  std::memcpy(canon, "through-canonical", 18);
+  EXPECT_STREQ(p, "through-canonical");
+  std::strcpy(p, "through-alias");
+  EXPECT_STREQ(canon, "through-alias");
+}
+
+TEST(GuardedPoolKeyedReuse, RevokedAliasIsReenabledAndTrapsAgain) {
+  GuardedPoolContext ctx;
+  std::uintptr_t first_shadow = 0;
+  {
+    GuardedPool pool(ctx, 48);
+    void* q = pool.alloc(48);
+    first_shadow = vm::page_down(vm::addr(q));
+    pool.free(q);  // revoked: parked PROT_NONE
+  }
+  GuardedPool pool(ctx, 48);
+  const auto m0 = mmaps();
+  const auto p0 = mprotects();
+  auto* p = static_cast<char*>(pool.alloc(48));
+  EXPECT_EQ(mmaps(), m0);
+  EXPECT_EQ(mprotects(), p0 + 1);  // the read-write upgrade, nothing else
+  EXPECT_EQ(vm::page_down(vm::addr(p)), first_shadow);
+  EXPECT_EQ(pool.stats().va_keyed_hits, 1u);
+  EXPECT_EQ(pool.stats().va_keyed_upgrades, 1u);
+  std::strcpy(p, "usable");
+  EXPECT_STREQ(p, "usable");
+  pool.free(p, 9);
+  const auto report = catch_dangling([&] {
+    volatile char c = p[0];
+    (void)c;
+  });
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->free_site, 9u);
+}
+
+TEST(GuardedPoolKeyedReuse, OtherCanonicalPageTakesSpanOnlyViaMapFixed) {
+  GuardedPoolContext ctx;
+  std::uintptr_t parked_shadow = 0;
+  {
+    GuardedPool pool(ctx, 48);
+    parked_shadow = vm::page_down(vm::addr(pool.alloc(48)));
+  }
+  // `holder` takes the recycled canonical extent, so `pool` lands on fresh
+  // canonical pages whose offset matches no parked key.
+  GuardedPool holder(ctx, 48);
+  auto* h = static_cast<char*>(holder.alloc(48));
+  ASSERT_EQ(vm::page_down(vm::addr(h)), parked_shadow);  // the keyed hit
+  GuardedPool pool(ctx, 48);
+  const auto m0 = mmaps();
+  auto* p = static_cast<char*>(pool.alloc(48));
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(pool.stats().va_keyed_hits, 0u);
+  EXPECT_EQ(mmaps(), m0 + 1);  // a remap of whatever span it got
+  std::strcpy(h, "holder");
+  std::strcpy(p, "pool");
+  const ObjectRecord* rec = ShadowEngine::record_of(p);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_STREQ(reinterpret_cast<char*>(rec->canonical +
+                                       ShadowEngine::kGuardHeader),
+               "pool");
+  EXPECT_STREQ(h, "holder");
+}
+
+TEST(GuardedPoolKeyedReuse, ParkedSpansStayWithinPeakDemand) {
+  // 1000 poolinit/pooldestroy rounds with varying layouts: object counts,
+  // sizes (1-3 page spans), and which objects are freed before destroy. A
+  // parked span is taken by key, or converted by size, before anything is
+  // mapped fresh, so the list holds at most, per span size, the most spans of
+  // that size any one pool held.
+  GuardedPoolContext ctx;
+  workloads::Rng rng(dpg::testing::dpg_test_seed(0x5EED));
+  std::map<std::size_t, std::size_t> peak;  // span pages -> max per pool
+  for (int round = 0; round < 1000; ++round) {
+    std::map<std::size_t, std::size_t> held;
+    GuardedPool pool(ctx, round % 3 == 0 ? 0 : 32);
+    const std::size_t n = 1 + rng.below(40);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t pick = rng.below(10);
+      const std::size_t size = pick < 7   ? 16 + rng.below(240)
+                               : pick < 9 ? 3000 + rng.below(2000)
+                                          : 9000;
+      void* p = pool.alloc(size);
+      const ObjectRecord* rec = ShadowEngine::record_of(p);
+      ASSERT_NE(rec, nullptr);
+      ++held[rec->span_length / vm::kPageSize];
+      if (rng.below(2) == 0) pool.free(p);
+    }
+    pool.destroy();
+    for (const auto& [pages, count] : held) {
+      peak[pages] = std::max(peak[pages], count);
+    }
+    std::size_t bound = 0;
+    for (const auto& [pages, count] : peak) bound += count;
+    ASSERT_LE(ctx.shadow_freelist().ranges(), bound) << "round " << round;
+  }
 }
 
 // Parameterized: pooldestroy must fully recycle for any object size,

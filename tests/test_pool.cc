@@ -1,10 +1,12 @@
 // Unit tests for the pool-allocation runtime (poolinit/alloc/free/destroy).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "alloc/pool.h"
+#include "vm/vm_stats.h"
 #include "workloads/common.h"
 
 namespace dpg::alloc {
@@ -15,6 +17,59 @@ class PoolTest : public ::testing::Test {
   vm::PhysArena arena_{1u << 26};
   ArenaSource source_{arena_};
 };
+
+// /proc/self/maps line count: each line is one VMA.
+std::size_t vma_count() {
+  std::FILE* f = std::fopen("/proc/self/maps", "r");
+  if (f == nullptr) return 0;
+  std::size_t n = 0;
+  for (int c; (c = std::fgetc(f)) != EOF;) n += c == '\n';
+  std::fclose(f);
+  return n;
+}
+
+// Regression: canonical extents recycled to an ArenaSource lie inside the
+// arena's canonical mapping. Its free list once inherited the shadow lists'
+// high-water trim, so the 16384th recycled extent munmapped every held
+// extent — splitting the canonical VMA into thousands of pieces, orphaning
+// their memfd pages, and leaving later obtain() calls to hand out unmapped
+// addresses.
+TEST(ArenaSourceTest, RecycledExtentsPastTrimLimitStayMapped) {
+  const std::size_t n = 2 * (vm::VaFreeList::kDefaultTrimLimit + 64);
+  vm::PhysArena arena(n * vm::kPageSize + (1u << 20));
+  std::vector<vm::PageRange> held;
+  {
+    ArenaSource source(arena);
+    std::vector<vm::PageRange> extents;
+    extents.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      extents.push_back(source.obtain(vm::kPageSize));
+    }
+    const std::size_t vmas = vma_count();
+    auto& c = vm::syscall_counters();
+    const auto unmaps = c.munmap.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; i += 2) source.recycle(extents[i]);
+    EXPECT_GT(source.recyclable_bytes(),
+              vm::VaFreeList::kDefaultTrimLimit * vm::kPageSize);
+    EXPECT_EQ(c.munmap.load(std::memory_order_relaxed), unmaps);
+    EXPECT_LE(vma_count(), vmas + 2);
+    // Every recycled extent is still canonical memory: obtain hands them back
+    // and they are writable (a sample is touched, to keep the test small).
+    for (std::size_t i = 0; i < n; i += 2) {
+      const vm::PageRange r = source.obtain(vm::kPageSize);
+      if (i % 512 == 0) {
+        *reinterpret_cast<volatile unsigned char*>(r.base) = 0x5A;
+        held.push_back(r);
+      }
+    }
+    // Hand them back once more: the source's destructor must forget them,
+    // not unmap them — the arena still owns the canonical mapping.
+    for (const vm::PageRange& r : held) source.recycle(r);
+  }
+  for (const vm::PageRange& r : held) {
+    EXPECT_EQ(*reinterpret_cast<volatile unsigned char*>(r.base), 0x5A);
+  }
+}
 
 TEST_F(PoolTest, AllocFreeRoundTrip) {
   Pool pool(source_, 32);

@@ -2,8 +2,10 @@
 // physical aliasing, page protection, MAP_FIXED reuse, the mremap strategy,
 // and the VA free list.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstring>
+#include <span>
 
 #include "vm/page.h"
 #include "vm/phys_arena.h"
@@ -289,6 +291,123 @@ TEST(VaFreeList, TakeResetsTrimStreakOnlyWhenUnderLimit) {
   EXPECT_EQ(list.trims(), 1u);  // not yet
   list.put(PageRange{next += kPageSize, kPageSize});  // streak 3: drain
   EXPECT_EQ(list.trims(), 2u);
+}
+
+// --- keyed index: shadow spans parked by the arena file offset they alias ---
+
+// Real PROT_NONE reservations, so the list's munmap paths have something to
+// release (and fake addresses never reach the kernel).
+PageRange reserve(std::size_t pages) {
+  void* p = mmap(nullptr, pages * kPageSize, PROT_NONE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  EXPECT_NE(p, MAP_FAILED);
+  return PageRange{addr(p), pages * kPageSize};
+}
+
+TEST(VaFreeList, KeyedTakeMatchesOffsetAndSizeOnly) {
+  VaFreeList list;
+  const PageRange a = reserve(1), b = reserve(2);
+  const VaFreeList::Alias parked[] = {{a, 7 * kPageSize, true},
+                                      {b, 7 * kPageSize, false}};
+  list.park(parked);
+  EXPECT_EQ(list.ranges(), 2u);
+  EXPECT_EQ(list.bytes(), 3 * kPageSize);
+  // Another offset, or the same offset at another length, is a miss.
+  EXPECT_FALSE(list.take_alias(8 * kPageSize, kPageSize).has_value());
+  EXPECT_FALSE(list.take_alias(7 * kPageSize, 3 * kPageSize).has_value());
+  const auto one = list.take_alias(7 * kPageSize, 100);  // rounds to a page
+  ASSERT_TRUE(one.has_value());
+  EXPECT_EQ(one->range, a);
+  EXPECT_TRUE(one->rw);
+  const auto two = list.take_alias(7 * kPageSize, 2 * kPageSize);
+  ASSERT_TRUE(two.has_value());
+  EXPECT_EQ(two->range, b);
+  EXPECT_FALSE(two->rw);
+  EXPECT_FALSE(list.take_alias(7 * kPageSize, kPageSize).has_value());
+  EXPECT_EQ(list.ranges(), 0u);
+  EXPECT_EQ(list.bytes(), 0u);
+  munmap(reinterpret_cast<void*>(a.base), a.length);
+  munmap(reinterpret_cast<void*>(b.base), b.length);
+}
+
+TEST(VaFreeList, TakeConvertsSameSizeKeyedSpanBeforeSplitting) {
+  VaFreeList list;
+  list.put(PageRange{0x300000, 4 * kPageSize});
+  const VaFreeList::Alias older{PageRange{0x400000, kPageSize}, 0, true};
+  const VaFreeList::Alias newer{PageRange{0x500000, kPageSize}, kPageSize,
+                                true};
+  list.park(std::span(&older, 1));
+  list.park(std::span(&newer, 1));
+  // Both plain and keyed misses for this size fall to the same-size keyed
+  // spans, oldest first, before the 4-page plain range is split.
+  auto t = list.take(kPageSize);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->base, 0x400000u);
+  t = list.take_exact(kPageSize);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->base, 0x500000u);
+  EXPECT_FALSE(list.take_alias(kPageSize, kPageSize).has_value());
+  t = list.take(kPageSize);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->base, 0x300000u);  // only now the split
+  EXPECT_EQ(list.ranges(), 1u);
+  EXPECT_EQ(list.bytes(), 3 * kPageSize);
+  list.drain([](PageRange) {});
+}
+
+TEST(VaFreeList, DrainReturnsKeyedSpansToo) {
+  VaFreeList list;
+  list.put(PageRange{0x700000, kPageSize});
+  const VaFreeList::Alias parked[] = {
+      {PageRange{0x800000, 2 * kPageSize}, 0, true},
+      {PageRange{0x900000, kPageSize}, 0, false}};
+  list.park(parked);
+  std::size_t drained = 0, n = 0;
+  list.drain([&](PageRange r) {
+    drained += r.length;
+    ++n;
+  });
+  EXPECT_EQ(n, 3u);
+  EXPECT_EQ(drained, 4 * kPageSize);
+  EXPECT_EQ(list.ranges(), 0u);
+  EXPECT_FALSE(list.take_alias(0, kPageSize).has_value());
+}
+
+TEST(VaFreeList, ReleaseAllAndReliefUnmapKeyedSpans) {
+  PhysArena arena(1u << 22);
+  VaFreeList list;
+  arena.add_relief_source(&list);
+  const VaFreeList::Alias parked[] = {{reserve(1), 0, true},
+                                      {reserve(3), kPageSize, false}};
+  list.park(parked);
+  list.put(reserve(1));
+  auto& c = syscall_counters();
+  const auto unmaps = c.munmap.load(std::memory_order_relaxed);
+  EXPECT_EQ(arena.release_relief(), 5 * kPageSize);
+  EXPECT_GE(c.munmap.load(std::memory_order_relaxed), unmaps + 1);
+  EXPECT_EQ(list.ranges(), 0u);
+  EXPECT_EQ(list.bytes(), 0u);
+
+  const VaFreeList::Alias again{reserve(2), 0, true};
+  list.park(std::span(&again, 1));
+  EXPECT_EQ(list.release_all(), 2 * kPageSize);
+  EXPECT_EQ(list.ranges(), 0u);
+  arena.remove_relief_source(&list);
+}
+
+TEST(VaFreeList, HighWaterTrimDrainsKeyedSpans) {
+  VaFreeList list;
+  list.set_trim_limit(4);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const VaFreeList::Alias a{reserve(1), i * kPageSize, true};
+    list.park(std::span(&a, 1));
+  }
+  EXPECT_EQ(list.trims(), 0u);
+  const VaFreeList::Alias last{reserve(1), 9 * kPageSize, false};
+  list.park(std::span(&last, 1));  // 4th held range crosses the limit
+  EXPECT_EQ(list.trims(), 1u);
+  EXPECT_EQ(list.ranges(), 0u);
+  EXPECT_FALSE(list.take_alias(0, kPageSize).has_value());
 }
 
 TEST(SyscallCounters, TotalSumsComponents) {
