@@ -39,11 +39,15 @@
 //
 // --backends: emits a machine-readable revocation x threads baseline document
 // (BENCH_baseline.json) on stdout: the server workload at 1/4/8 threads under
-// immediate and batched revocation (the tuned shape with only protect_batch
-// deciding), plus the seed and tuned configurations the smoke gate is
-// calibrated against. Per row: wall seconds, pairs/sec, and the split
-// syscall counters (mmap/munmap/mprotect), so "batching cuts mprotect" can be
-// checked against whether throughput moved.
+// immediate revocation (the tuned shape with protect_batch = 0), plus the
+// seed and tuned (batched) configurations the smoke gate is calibrated
+// against. Per row: wall seconds, pairs/sec, and the split syscall counters
+// (mmap/munmap/mprotect), so "batching cuts mprotect" can be checked against
+// whether throughput moved.
+//
+// --t8probe SLOTS BATCH RECYCLE_CAP SHARDS_PER_THREAD: one 8-thread server
+// row in a hand-picked shape (magazine_slots, protect_batch,
+// window_recycle_cap; shards_per_thread 0 = one shard in total).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -81,7 +85,6 @@ BenchConfig tuned_config() {
   GuardConfig g;
   g.magazine_slots = 256;
   g.protect_batch = 256;
-  g.protect_batch_bytes = std::size_t{4} << 20;
   // MAP_FIXED VA recycling (DESIGN.md §16): park released shadow spans on the
   // shard and re-alias over them instead of round-tripping the shared
   // freelist, whose trims are the munmap storm ROADMAP item 1 measured.
@@ -93,13 +96,11 @@ BenchConfig tuned_config() {
   return BenchConfig{"tuned", 1, g};
 }
 
-// Tuned shape with revocation set by protect_batch alone: 0 = one mprotect
-// per free, otherwise tuned's queue depth with no byte trigger.
-BenchConfig revocation_config(const char* name, std::size_t protect_batch) {
+// Tuned shape with one mprotect per free.
+BenchConfig immediate_config() {
   BenchConfig c = tuned_config();
-  c.name = name;
-  c.guard.protect_batch = protect_batch;
-  c.guard.protect_batch_bytes = 0;
+  c.name = "immediate";
+  c.guard.protect_batch = 0;
   return c;
 }
 
@@ -310,8 +311,8 @@ void json_row(std::FILE* f, const char* workload, unsigned threads,
       last ? "" : ",");
 }
 
-// Emits the BENCH_baseline.json document on stdout: immediate, batched, seed
-// and tuned at 1/4/8 threads. Progress goes to stderr so
+// Emits the BENCH_baseline.json document on stdout: immediate, seed and
+// tuned at 1/4/8 threads. Progress goes to stderr so
 // `bench_mt --backends > file` is clean.
 int backends() {
   const std::uint64_t pairs = static_cast<std::uint64_t>(
@@ -325,10 +326,8 @@ int backends() {
               static_cast<unsigned long long>(pairs));
   std::printf("  \"rows\": [\n");
 
-  const BenchConfig configs[] = {
-      revocation_config("immediate", 0),
-      revocation_config("batched", tuned_config().guard.protect_batch),
-      seed_config(), tuned_config()};
+  const BenchConfig configs[] = {immediate_config(), seed_config(),
+                                 tuned_config()};
   const unsigned thread_counts[] = {1u, 4u, 8u};
   std::size_t left = std::size(configs) * std::size(thread_counts);
   for (unsigned t : thread_counts) {
@@ -486,13 +485,12 @@ int smoke() {
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return smoke();
   if (argc > 1 && std::strcmp(argv[1], "--backends") == 0) return backends();
-  if (argc > 6 && std::strcmp(argv[1], "--t8probe") == 0) {
+  if (argc > 5 && std::strcmp(argv[1], "--t8probe") == 0) {
     GuardConfig g;
     g.magazine_slots = static_cast<std::size_t>(std::atol(argv[2]));
     g.protect_batch = static_cast<std::size_t>(std::atol(argv[3]));
-    g.protect_batch_bytes = static_cast<std::size_t>(std::atol(argv[4]));
-    g.window_recycle_cap = static_cast<std::size_t>(std::atol(argv[5]));
-    BenchConfig c{"probe", static_cast<std::size_t>(std::atol(argv[6])), g};
+    g.window_recycle_cap = static_cast<std::size_t>(std::atol(argv[4]));
+    BenchConfig c{"probe", static_cast<std::size_t>(std::atol(argv[5])), g};
     const RunResult r = run_workload(c, 8, true, 15000);
     print_row("server", 8, c, r);
     return 0;

@@ -77,7 +77,7 @@ void register_keyed_counters() noexcept {
 }  // namespace
 
 ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
-                           vm::VaFreeList* shadow_freelist, GuardConfig cfg)
+                           vm::VaFreeList& shadow_freelist, GuardConfig cfg)
     : arena_(arena),
       under_(under),
       shadow_freelist_(shadow_freelist),
@@ -328,6 +328,37 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
   return reinterpret_cast<void*>(rec->user_shadow);
 }
 
+// Where dead shadow VA goes, decided here and nowhere else: the per-shard
+// recycle cache first, then the shared list — keyed by the canonical pages
+// it aliases when it is a released record's span without a guard tail
+// (batched until park_keyed_locked), plain otherwise. Every caller either
+// proved no pointer into `span` survives or never handed one out.
+void ShadowEngine::give_back_locked(vm::PageRange span,
+                                    const ObjectRecord* rec) {
+  if (park_recycled_locked(span)) return;
+  if (rec != nullptr && rec->guard_length == 0 && cfg_.reuse_shadow_va) {
+    const void* first_page =
+        reinterpret_cast<void*>(vm::page_down(rec->canonical));
+    keyed_batch_.push_back(vm::VaFreeList::Alias{
+        span, arena_.offset_of(first_page),
+        rec->state.load(std::memory_order_relaxed) == ObjectState::kLive});
+    return;
+  }
+  shadow_freelist_.put(span);
+}
+
+// Where a MAP_FIXED target comes from: the per-shard cache, then the shared
+// list (plain exact fit, then a same-size keyed span, then a split). Without
+// `may_split` the list must fit exactly, so magazine windows never shred the
+// single-span donors per-object allocations live on.
+void* ShadowEngine::take_va_locked(std::size_t len, bool may_split) {
+  if (!cfg_.reuse_shadow_va) return nullptr;
+  if (void* p = take_recycled_locked(len)) return p;
+  const auto r =
+      may_split ? shadow_freelist_.take(len) : shadow_freelist_.take_exact(len);
+  return r ? reinterpret_cast<void*>(r->base) : nullptr;
+}
+
 // Per-shard MAP_FIXED recycle cache (DESIGN.md §16). Parked spans are kept
 // sorted by base and merged with contiguous neighbours, so the slot-sized
 // spans a dying magazine generation sheds — its unclaimed runs at retirement
@@ -345,7 +376,7 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
 // whatever dead mapping occupies it; merged runs of mixed provenance
 // (revoked aliases, anonymous guard tails) are therefore interchangeable.
 // park_recycled_locked returns false when the cache is off or full, in which
-// case the caller falls through to the legacy freelist/munmap disposition.
+// case give_back_locked falls through to the shared list.
 void* ShadowEngine::take_recycled_locked(std::size_t len) noexcept {
   std::size_t best = va_recycle_.size();
   for (std::size_t i = 0; i < va_recycle_.size(); ++i) {
@@ -405,13 +436,7 @@ bool ShadowEngine::park_recycled_locked(vm::PageRange span) {
 }
 
 void ShadowEngine::drain_recycled_locked() {
-  for (const vm::PageRange& span : va_recycle_) {
-    if (shadow_freelist_ != nullptr) {
-      shadow_freelist_->put(span);
-    } else {
-      arena_.unmap(reinterpret_cast<void*>(span.base), span.length);
-    }
-  }
+  for (const vm::PageRange& span : va_recycle_) shadow_freelist_.put(span);
   va_recycle_.clear();
 }
 
@@ -473,27 +498,14 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
     // fall through: map a fresh generation
   }
 
-  // First touch of this window (or a fresh generation after retirement).
-  // Prefer a recycled window-sized VA — the per-shard cache first, then the
-  // shared list; take_exact never splits a larger span, so the magazine path
-  // cannot fragment the single-span donors.
-  void* fixed = take_recycled_locked(win);
-  if (fixed == nullptr && cfg_.reuse_shadow_va && shadow_freelist_ != nullptr) {
-    if (auto reused = shadow_freelist_->take_exact(win)) {
-      fixed = reinterpret_cast<void*>(reused->base);
-    }
-  }
+  // First touch of this window (or a fresh generation after retirement):
+  // prefer a recycled window-sized VA.
+  void* fixed = take_va_locked(win, /*may_split=*/false);
   const vm::sys::MapResult res =
       mapper_.try_alias_bulk(reinterpret_cast<void*>(window_base), win, fixed);
   if (!res.ok()) {
-    if (fixed != nullptr) {
-      // MAP_FIXED failure leaves the old mapping intact: still reusable.
-      if (shadow_freelist_ != nullptr) {
-        shadow_freelist_->put(vm::PageRange{vm::addr(fixed), win});
-      } else {
-        (void)park_recycled_locked(vm::PageRange{vm::addr(fixed), win});
-      }
-    }
+    // MAP_FIXED failure leaves the old mapping intact: still reusable.
+    if (fixed != nullptr) give_back_locked(vm::PageRange{vm::addr(fixed), win});
     // Caller takes the per-object path, which owns failure/degradation.
     return nullptr;
   }
@@ -516,7 +528,7 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   m.free_slots -= nslots;
   const std::uintptr_t sb = m.shadow_base + off_in_window;
   magazines_.emplace(window_base, m);
-  if (cfg_.magazine_windows != 0 && magazines_.size() > cfg_.magazine_windows) {
+  if (magazines_.size() > kMaxMagazineWindows) {
     // Population cap: evict an arbitrary other generation, recycling its
     // unclaimed slot runs. Claimed slots are owned by live records and are
     // released with them, so eviction only forfeits future zero-syscall hits
@@ -549,15 +561,7 @@ void ShadowEngine::retire_magazine_locked(std::uintptr_t window_base,
     }
     const vm::PageRange run{m.shadow_base + s * vm::kPageSize,
                             (e - s) * vm::kPageSize};
-    // A parked run waits on the per-shard cache for a same-size MAP_FIXED
-    // re-alias (a whole window when the generation retired unclaimed).
-    if (!park_recycled_locked(run)) {
-      if (shadow_freelist_ != nullptr) {
-        shadow_freelist_->put(run);
-      } else {
-        arena_.unmap(reinterpret_cast<void*>(run.base), run.length);
-      }
-    }
+    give_back_locked(run);
     stats_.magazine_slots_recycled.fetch_add(e - s,
                                              std::memory_order_relaxed);
     s = e;
@@ -576,8 +580,8 @@ void ShadowEngine::drop_magazines_locked() {
 // it was revoked. Either way the kernel replaces no VMA and zaps no PTE.
 void* ShadowEngine::take_alias_locked(std::uintptr_t first_page,
                                       std::size_t data_span) {
-  if (!cfg_.reuse_shadow_va || shadow_freelist_ == nullptr) return nullptr;
-  const auto a = shadow_freelist_->take_alias(
+  if (!cfg_.reuse_shadow_va) return nullptr;
+  const auto a = shadow_freelist_.take_alias(
       arena_.offset_of(reinterpret_cast<void*>(first_page)), data_span);
   if (!a) return nullptr;
   void* sb = reinterpret_cast<void*>(a->range.base);
@@ -585,7 +589,7 @@ void* ShadowEngine::take_alias_locked(std::uintptr_t first_page,
     if (!vm::PhysArena::try_protect_rw(sb, a->range.length).ok()) {
       // Still a dead alias: the caller's miss path remaps it MAP_FIXED (and
       // owns failure handling), exactly as for any recycled span.
-      shadow_freelist_->put(a->range);
+      give_back_locked(a->range);
       return nullptr;
     }
     stats_.va_keyed_upgrades.fetch_add(1, std::memory_order_relaxed);
@@ -630,12 +634,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     }
   }
 
-  void* fixed = take_recycled_locked(span_len);
-  if (fixed == nullptr && cfg_.reuse_shadow_va && shadow_freelist_ != nullptr) {
-    if (auto reused = shadow_freelist_->take(span_len)) {
-      fixed = reinterpret_cast<void*>(reused->base);
-    }
-  }
+  void* fixed = take_va_locked(span_len, /*may_split=*/true);
 
   // Guard-path kernel calls, all Result-returning: any refusal rolls the
   // allocation back, drops the governor one rung, and re-serves the request
@@ -676,14 +675,10 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   }
   if (!alias.ok()) {
     under_.free(canonical);
+    // MAP_FIXED failure leaves the old mapping intact: the range is still
+    // reusable, so it goes back rather than leaking.
     if (fixed != nullptr) {
-      // MAP_FIXED failure leaves the old mapping intact: the range is still
-      // reusable, so it goes back on the list rather than leaking.
-      if (shadow_freelist_ != nullptr) {
-        shadow_freelist_->put(vm::PageRange{vm::addr(fixed), span_len});
-      } else {
-        (void)park_recycled_locked(vm::PageRange{vm::addr(fixed), span_len});
-      }
+      give_back_locked(vm::PageRange{vm::addr(fixed), span_len});
     }
     stats_.guard_failures.fetch_add(1, std::memory_order_relaxed);
     gov_->on_syscall_failure("shadow-alias", alias.err);
@@ -770,11 +765,10 @@ void ShadowEngine::degraded_free_locked(void* p, SiteId site) {
 // block, or queue both for the next batched flush. No flush/budget decisions
 // here — callers follow with maybe_flush_locked().
 void ShadowEngine::revoke_locked(ObjectRecord* rec) {
-  if (cfg_.protect_batch > 1 || cfg_.protect_batch_bytes != 0) {
+  if (cfg_.protect_batch > 1) {
     // Deferred protection: the canonical block is NOT returned yet, so the
     // physical memory cannot be reused before the span is protected.
     pending_protect_.push_back(rec);
-    pending_protect_bytes_ += rec->span_length;
     return;
   }
   const vm::sys::IoResult pr = arena_.try_revoke(
@@ -798,11 +792,9 @@ void ShadowEngine::revoke_locked(ObjectRecord* rec) {
 }
 
 void ShadowEngine::maybe_flush_locked() {
-  const bool count_full = cfg_.protect_batch > 1 &&
-                          pending_protect_.size() >= cfg_.protect_batch;
-  const bool bytes_full = cfg_.protect_batch_bytes != 0 &&
-                          pending_protect_bytes_ >= cfg_.protect_batch_bytes;
-  if (count_full || bytes_full) flush_protections_locked();
+  if (cfg_.protect_batch > 1 && pending_protect_.size() >= cfg_.protect_batch) {
+    flush_protections_locked();
+  }
   enforce_budget_locked();
 }
 
@@ -1080,7 +1072,6 @@ void ShadowEngine::flush_protections_locked() {
                     pending_protect_.front()->shadow_base,
                     pending_protect_.size());
   pending_protect_.clear();
-  pending_protect_bytes_ = 0;
 }
 
 void ShadowEngine::enforce_budget_locked() {
@@ -1097,7 +1088,7 @@ void ShadowEngine::enforce_budget_locked() {
     if (it->revocation_done &&
         it->state.load(std::memory_order_relaxed) == ObjectState::kFreed) {
       const std::size_t len = it->span_length;
-      release_record_locked(it, /*recycle_va=*/true);
+      release_record_locked(it);
       target = target > len ? target - len : 0;
     }
     it = next;
@@ -1115,29 +1106,12 @@ void ShadowEngine::unlink_locked(ObjectRecord* rec) noexcept {
   rec->next->prev = rec->prev;
 }
 
-void ShadowEngine::release_record_locked(ObjectRecord* rec, bool recycle_va) {
+// Every caller proved no pointer into the record's span remains and follows
+// with park_keyed_locked() to hand the keyed batch to the shared list.
+void ShadowEngine::release_record_locked(ObjectRecord* rec) {
   ShadowRegistry::global().erase(*rec);
   const vm::PageRange span{rec->shadow_base, rec->span_length};
-  if (recycle_va && park_recycled_locked(span)) {
-    // Parked for a same-size MAP_FIXED re-alias on this shard: no freelist
-    // round trip and no munmap. The span is as dead as a freelist span —
-    // every release_record_locked caller proved no pointers remain.
-  } else if (recycle_va && rec->guard_length == 0 && cfg_.reuse_shadow_va &&
-             shadow_freelist_ != nullptr) {
-    // Keyed by the canonical pages it aliases, so the next allocation on
-    // those pages takes it without a remap. Batched: callers hand the whole
-    // batch to the shared list under one lock (park_keyed_locked).
-    const void* first_page =
-        reinterpret_cast<void*>(vm::page_down(rec->canonical));
-    keyed_batch_.push_back(vm::VaFreeList::Alias{
-        span, arena_.offset_of(first_page),
-        rec->state.load(std::memory_order_relaxed) == ObjectState::kLive});
-  } else if (recycle_va && shadow_freelist_ != nullptr) {
-    shadow_freelist_->put(span);
-  } else {
-    arena_.unmap(reinterpret_cast<void*>(span.base), span.length);
-    gov_->add_vmas(rec->guard_length != 0 ? -2 : -1);
-  }
+  give_back_locked(span, rec);
   if (rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed &&
       rec->revocation_done) {
     freed_bytes_held_ -= rec->span_length;
@@ -1152,7 +1126,7 @@ void ShadowEngine::release_record_locked(ObjectRecord* rec, bool recycle_va) {
 
 void ShadowEngine::park_keyed_locked() {
   if (keyed_batch_.empty()) return;
-  shadow_freelist_->park(keyed_batch_);
+  shadow_freelist_.park(keyed_batch_);
   keyed_batch_.clear();
 }
 
@@ -1164,7 +1138,7 @@ void ShadowEngine::release_all() {
   flush_protections_locked();  // pending canonical blocks must reach under_
   drain_quarantine_locked();
   while (head_.next != &head_) {
-    release_record_locked(head_.next, /*recycle_va=*/true);
+    release_record_locked(head_.next);
   }
   park_keyed_locked();
   drop_magazines_locked();
@@ -1181,7 +1155,7 @@ std::size_t ShadowEngine::reclaim_freed(std::size_t bytes) {
     if (it->revocation_done &&
         it->state.load(std::memory_order_relaxed) == ObjectState::kFreed) {
       reclaimed += it->span_length;
-      release_record_locked(it, /*recycle_va=*/true);
+      release_record_locked(it);
     }
     it = next;
   }
@@ -1218,7 +1192,7 @@ void ShadowEngine::reclaim(ObjectRecord* rec) {
   std::lock_guard lock(mu_);
   assert(rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed);
   assert(rec->revocation_done);
-  release_record_locked(rec, /*recycle_va=*/true);
+  release_record_locked(rec);
   park_keyed_locked();
 }
 
@@ -1248,7 +1222,7 @@ GuardStats ShadowEngine::stats() const {
 }
 
 GuardedHeap::GuardedHeap(vm::PhysArena& arena, GuardConfig cfg)
-    : source_(arena), heap_(source_), engine_(arena, heap_, &shadow_va_, cfg) {
+    : source_(arena), heap_(source_), engine_(arena, heap_, shadow_va_, cfg) {
   // The shadow VA free list doubles as the arena's emergency VMA-relief
   // source: under kernel ENOMEM its held spans are coalesced and munmapped.
   arena.add_relief_source(&shadow_va_);

@@ -18,7 +18,9 @@
 // shared VA free list, and new shadow mappings are placed over recycled
 // addresses with MAP_FIXED — no munmap per object. Spans are parked keyed by
 // the canonical pages they alias, so an allocation on those same pages takes
-// one back with no remap at all (DESIGN.md §16).
+// one back with no remap at all (DESIGN.md §16). Every dead span takes one
+// route back (the per-shard recycle cache when configured, then the shared
+// list, keyed or plain) and every MAP_FIXED target one route out.
 //
 // Scaling layers (DESIGN.md §11):
 //
@@ -32,8 +34,8 @@
 //                    and marching allocations amortize to ~1/N.
 //   Revocation queue freed spans accumulate (canonical reuse deferred with
 //                    them), are address-sorted, coalesced into maximal runs,
-//                    and revoked with one mprotect per run; flushed on batch
-//                    count, on byte budget, and at pooldestroy/teardown.
+//                    and revoked with one mprotect per run; flushed every
+//                    protect_batch frees and at pooldestroy/teardown.
 //   Remote frees     cross-shard frees transition the record kLive->kFreed
 //                    at the free site (double-free detection stays exact and
 //                    immediate) and queue the revocation on the owning
@@ -84,31 +86,17 @@ struct GuardConfig {
   // merging adjacent shadow spans into single mprotect calls. The underlying
   // free is deferred with it, so freed memory is never reused before it is
   // protected — soundness against *reuse* is kept; the trade is a bounded
-  // window (at most protect_batch frees / protect_batch_bytes span bytes)
-  // during which a dangling use reads stale-but-unreused data undetected.
-  // Double frees stay exact throughout (the record state transition, not the
-  // page protection, detects them). 0 = protect immediately (the paper's
-  // configuration).
+  // window (at most protect_batch frees) during which a dangling use reads
+  // stale-but-unreused data undetected. Double frees stay exact throughout
+  // (the record state transition, not the page protection, detects them).
+  // 0 or 1 = protect immediately (0 is the paper's configuration).
   std::size_t protect_batch = 0;
-  // Byte-budget flush for the revocation queue: pending shadow-span bytes
-  // above this force a flush even before protect_batch frees accumulate,
-  // bounding the stale-but-unreused memory the queue can pin. 0 = no byte
-  // trigger. Either trigger alone enables the queue.
-  std::size_t protect_batch_bytes = 0;
   // Slot magazines: bulk-alias window size in pages (DPG_MAGAZINE_SLOTS).
   // One mmap maps `magazine_slots` contiguous canonical pages; allocations
   // whose canonical span lands on unclaimed slots of the window's current
   // magazine get their shadow pages with zero syscalls. 0 or 1 = off (the
   // paper's per-object alias). Clamped to [2, kMaxMagazineSlots].
   std::size_t magazine_slots = 0;
-  // Live-generation population cap per engine. Windows tile the arena's
-  // file-offset space, so a churn-heavy workload keeps first-touching new
-  // windows; without a cap every partially-claimed generation (one
-  // window-sized shadow mapping each) lives until release_all — unbounded
-  // RSS/VMA growth that the endurance soak flags as a leak. Over the cap the
-  // fresh-generation path retires another generation first (its window falls
-  // back to the per-object alias until re-touched). 0 = unbounded.
-  std::size_t magazine_windows = 256;
   // Degradation policy (core/degrade.h). nullptr = share the process-wide
   // governor; tests and benches pass their own to pin or observe the ladder.
   DegradationGovernor* governor = nullptr;
@@ -125,16 +113,18 @@ struct GuardConfig {
   // slots reassemble into the window-sized run the next generation claims
   // with one MAP_FIXED re-alias — no freelist mutex, no trim-drain munmap
   // storm, no VMA churn. Overflow and teardown fall through to the shared
-  // freelist as before. 0 = off (legacy behaviour).
+  // freelist. 0 = off. A bench_mt-only shape: spans parked here are not
+  // counted against the VMA bound (neither the list's trim nor the governor
+  // sees them), so the preload path leaves it off (DESIGN.md §16).
   std::size_t window_recycle_cap = 0;
 };
 
 class ShadowEngine {
  public:
   // `shadow_freelist` may be shared across engines (the paper's free list is
-  // "shared across pools"); pass nullptr to munmap spans on release instead.
+  // "shared across pools") and must outlive the engine.
   ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
-               vm::VaFreeList* shadow_freelist, GuardConfig cfg = {});
+               vm::VaFreeList& shadow_freelist, GuardConfig cfg = {});
   ~ShadowEngine();
 
   ShadowEngine(const ShadowEngine&) = delete;
@@ -212,6 +202,14 @@ class ShadowEngine {
 
   static constexpr std::size_t kGuardHeader = sizeof(std::uintptr_t);
   static constexpr std::size_t kMaxMagazineSlots = 256;
+  // Live-generation population cap per engine. Windows tile the arena's
+  // file-offset space, so a churn-heavy workload keeps first-touching new
+  // windows; without a cap every partially-claimed generation (one
+  // window-sized shadow mapping each) lives until release_all — unbounded
+  // RSS/VMA growth that the endurance soak flags as a leak. Over the cap the
+  // fresh-generation path retires another generation first (its window falls
+  // back to the per-object alias until re-touched).
+  static constexpr std::size_t kMaxMagazineWindows = 256;
 
   // The engine's governor (never null after construction).
   [[nodiscard]] DegradationGovernor& governor() noexcept { return *gov_; }
@@ -276,6 +274,8 @@ class ShadowEngine {
   void* magazine_claim_locked(std::uintptr_t first_page, std::size_t data_span);
   void* take_alias_locked(std::uintptr_t first_page, std::size_t data_span);
   void park_keyed_locked();
+  void* take_va_locked(std::size_t len, bool may_split);
+  void give_back_locked(vm::PageRange span, const ObjectRecord* rec = nullptr);
   void* take_recycled_locked(std::size_t len) noexcept;
   bool park_recycled_locked(vm::PageRange span);
   void drain_recycled_locked();
@@ -288,7 +288,7 @@ class ShadowEngine {
   void revoke_locked(ObjectRecord* rec);
   void maybe_flush_locked();
   std::size_t drain_remote_locked();
-  void release_record_locked(ObjectRecord* rec, bool recycle_va);
+  void release_record_locked(ObjectRecord* rec);
   void unlink_locked(ObjectRecord* rec) noexcept;
   void flush_protections_locked();
   void enforce_budget_locked();
@@ -296,7 +296,7 @@ class ShadowEngine {
 
   vm::PhysArena& arena_;
   alloc::MallocLike& under_;
-  vm::VaFreeList* shadow_freelist_;
+  vm::VaFreeList& shadow_freelist_;
   vm::ShadowMapper mapper_;
   GuardConfig cfg_;
   DegradationGovernor* gov_;
@@ -309,7 +309,7 @@ class ShadowEngine {
   // Per-shard MAP_FIXED recycle cache (cfg_.window_recycle_cap runs max,
   // sorted by base, contiguous neighbours merged): released shadow spans and
   // retired magazine runs wait here to be re-aliased, bypassing the shared
-  // freelist. Drained to the freelist (or unmapped) at release_all.
+  // freelist. Drained to the freelist at release_all.
   std::vector<vm::PageRange> va_recycle_;
 
   // Spans released since the last park_keyed_locked(), keyed by the canonical
@@ -342,7 +342,6 @@ class ShadowEngine {
   mutable std::mutex mu_;
   ObjectRecord head_;  // intrusive list sentinel, oldest first
   std::vector<ObjectRecord*> pending_protect_;  // revocation queue
-  std::size_t pending_protect_bytes_ = 0;
   std::size_t freed_bytes_held_ = 0;
   GuardCounters stats_;
 };

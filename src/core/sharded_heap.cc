@@ -41,7 +41,7 @@ ShardedHeap::ShardedHeap(vm::PhysArena& arena, GuardConfig cfg,
   engines_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     engines_.push_back(
-        std::make_unique<ShadowEngine>(arena, heap_, &shadow_va_, cfg));
+        std::make_unique<ShadowEngine>(arena, heap_, shadow_va_, cfg));
     engines_.back()->set_shard_id(static_cast<std::uint32_t>(i));
   }
   // Same arena integration as GuardedHeap: the shared shadow VA list is the

@@ -147,7 +147,6 @@ core::GuardConfig guard_config(const FuzzConfig& cfg,
                                core::DegradationGovernor* gov) {
   core::GuardConfig gc;
   gc.protect_batch = cfg.protect_batch;
-  gc.protect_batch_bytes = cfg.protect_batch_bytes;
   gc.magazine_slots = cfg.magazine_slots;
   gc.window_recycle_cap = cfg.recycle_cap;
   gc.governor = gov;
@@ -874,8 +873,9 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
-    FuzzConfig c = base("bytes4k-mag64");
-    c.protect_batch_bytes = 4096;
+    // The queue flushed after every second free, over magazine-carved spans.
+    FuzzConfig c = base("batch2-mag64");
+    c.protect_batch = 2;
     c.magazine_slots = 64;
     v.push_back(c);
   }

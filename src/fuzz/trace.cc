@@ -183,7 +183,6 @@ std::string to_replay(const FuzzConfig& cfg, const Trace& trace) {
   out << "shards " << cfg.shards << "\n";
   out << "magazines " << cfg.magazine_slots << "\n";
   out << "batch " << cfg.protect_batch << "\n";
-  out << "batch_bytes " << cfg.protect_batch_bytes << "\n";
   out << "fault " << (cfg.fault_plan.empty() ? "-" : cfg.fault_plan) << "\n";
   out << "forced_mode " << cfg.forced_mode << "\n";
   out << "sample_rate " << cfg.sample_rate << "\n";
@@ -237,8 +236,6 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       in >> c.magazine_slots;
     } else if (tag == "batch") {
       in >> c.protect_batch;
-    } else if (tag == "batch_bytes") {
-      in >> c.protect_batch_bytes;
     } else if (tag == "fault") {
       in >> c.fault_plan;
       if (c.fault_plan == "-") c.fault_plan.clear();

@@ -93,7 +93,6 @@ struct FuzzConfig {
   std::size_t shards = 1;
   std::size_t magazine_slots = 0;
   std::size_t protect_batch = 0;
-  std::size_t protect_batch_bytes = 0;
   std::string fault_plan;  // DPG_FAULT_INJECT grammar; "" = none
   int forced_mode = -1;    // core::GuardMode to pin, -1 = ladder off-forced
   // Base 1-in-N guard probability for sampled-rung cells (forced_mode ==

@@ -62,6 +62,8 @@ dpg::core::Runtime& runtime() {
   // Performance knobs (DESIGN.md §11). Defaults keep detection immediate:
   // magazines only amortize the *allocation* mmap, so they are on by default;
   // batched revocation delays the free-side mprotect, so it stays opt-in.
+  // The MAP_FIXED recycle cache stays off: spans parked there escape the
+  // VA list's trim and the governor's VMA bound (DESIGN.md §16).
   dpg::core::RuntimeConfig cfg{
       .guard = {.freed_va_budget = std::size_t{256} << 20}};
   cfg.guard.magazine_slots = static_cast<std::size_t>(dpg::obs::env_long(
@@ -69,12 +71,6 @@ dpg::core::Runtime& runtime() {
       static_cast<long>(dpg::core::ShadowEngine::kMaxMagazineSlots)));
   cfg.guard.protect_batch = static_cast<std::size_t>(
       dpg::obs::env_long("DPG_PROTECT_BATCH", 0, 0, 1 << 20));
-  cfg.guard.protect_batch_bytes = static_cast<std::size_t>(
-      dpg::obs::env_long("DPG_PROTECT_BATCH_BYTES", 0, 0, LONG_MAX));
-  // MAP_FIXED re-alias cache for retired magazine windows (DESIGN.md §16);
-  // 0 keeps retired spans flowing to the shared VA free list as before.
-  cfg.guard.window_recycle_cap = static_cast<std::size_t>(
-      dpg::obs::env_long("DPG_WINDOW_RECYCLE_CAP", 0, 0, 1 << 20));
   cfg.shards =
       static_cast<std::size_t>(dpg::obs::env_long(
           "DPG_SHARDS", 0, 0,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/env.h"
 #include "obs/metrics.h"
 #include "vm/sys.h"
 #include "vm/vm_stats.h"
@@ -26,12 +25,7 @@ void register_trim_counter() noexcept {
 
 }  // namespace
 
-VaFreeList::VaFreeList(Ranges ranges)
-    : ranges_(ranges),
-      trim_hysteresis_(static_cast<std::size_t>(
-          obs::env_long("DPG_VA_TRIM_HYSTERESIS",
-                        static_cast<long>(kDefaultTrimHysteresis), 1,
-                        1L << 20))) {
+VaFreeList::VaFreeList(Ranges ranges) : ranges_(ranges) {
   register_trim_counter();
 }
 
@@ -40,14 +34,8 @@ VaFreeList::~VaFreeList() { release_all(); }
 bool VaFreeList::over_water_locked() noexcept {
   if (ranges_ == Ranges::kBorrowed || trim_limit_ == 0 ||
       count_ < trim_limit_) {
-    over_water_streak_ = 0;
     return false;
   }
-  // Hysteresis: one crossing is not a storm. Only a streak of over-water
-  // donations with no take relieving the count in between pays the full
-  // coalesce-and-munmap drain.
-  if (++over_water_streak_ < trim_hysteresis_) return false;
-  over_water_streak_ = 0;
   ++trims_;
   return true;
 }
@@ -55,10 +43,6 @@ bool VaFreeList::over_water_locked() noexcept {
 void VaFreeList::sub_locked(std::size_t bytes, std::size_t ranges) noexcept {
   bytes_ -= bytes;
   count_ -= ranges;
-  // Reuse only relieves the streak once it pulls the count back under the
-  // limit: interleaved takes that merely slow the climb must not starve the
-  // trim while the list sails past its high water toward vm.max_map_count.
-  if (trim_limit_ == 0 || count_ < trim_limit_) over_water_streak_ = 0;
 }
 
 void VaFreeList::put(PageRange range) {
@@ -196,11 +180,6 @@ std::optional<PageRange> VaFreeList::take_plain_exact_locked(
 void VaFreeList::set_trim_limit(std::size_t ranges) noexcept {
   std::lock_guard lock(mu_);
   trim_limit_ = ranges;
-}
-
-void VaFreeList::set_trim_hysteresis(std::size_t checks) noexcept {
-  std::lock_guard lock(mu_);
-  trim_hysteresis_ = checks == 0 ? 1 : checks;
 }
 
 std::size_t VaFreeList::trims() const {

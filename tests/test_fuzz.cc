@@ -103,6 +103,15 @@ TEST(FuzzTrace, ReplayParserRejectsMalformedInput) {
   EXPECT_FALSE(from_replay("not a dpgf file\n", &cfg, &t, &err));
   const std::string good = to_replay(FuzzConfig{}, generate(1, GenParams{}));
   EXPECT_FALSE(from_replay(good + "BOGUS LINE\n", &cfg, &t, &err));
+  // The byte-budget flush trigger is gone; a replay naming it must not run
+  // as a different cell than it was recorded under.
+  std::string stale = good;
+  const std::string batch_line = "batch 0\n";
+  const auto at = stale.find(batch_line);
+  ASSERT_NE(at, std::string::npos);
+  stale.insert(at + batch_line.size(), "batch_bytes 4096\n");
+  EXPECT_FALSE(from_replay(stale, &cfg, &t, &err));
+  EXPECT_NE(err.find("batch_bytes"), std::string::npos);
   // forced_mode is a core::GuardMode value (or -1); out-of-range must not
   // silently cast to garbage when the harness pins the governor.
   std::string bad = good;

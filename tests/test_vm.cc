@@ -249,50 +249,6 @@ TEST(VaFreeList, ZeroLengthPutIgnored) {
   EXPECT_EQ(list.ranges(), 0u);
 }
 
-TEST(VaFreeList, TrimHysteresisDampsOscillation) {
-  VaFreeList list;
-  list.set_trim_limit(4);
-  list.set_trim_hysteresis(3);
-  std::uintptr_t next = 0x600000;
-  // Filling to the limit starts the streak (the 4th put checks over-water);
-  // only the 3rd consecutive over-water donation pays the drain.
-  for (int i = 0; i < 4; ++i) list.put(PageRange{next += kPageSize, kPageSize});
-  EXPECT_EQ(list.trims(), 0u);
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 2
-  EXPECT_EQ(list.trims(), 0u);
-  EXPECT_EQ(list.ranges(), 5u);
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 3: drain
-  EXPECT_EQ(list.trims(), 1u);
-  EXPECT_EQ(list.ranges(), 0u);
-}
-
-TEST(VaFreeList, TakeResetsTrimStreakOnlyWhenUnderLimit) {
-  VaFreeList list;
-  list.set_trim_limit(4);
-  list.set_trim_hysteresis(3);
-  std::uintptr_t next = 0x700000;
-  for (int i = 0; i < 5; ++i) list.put(PageRange{next += kPageSize, kPageSize});
-  // Streak 2 (the 4th and 5th puts were over-water). A take that leaves the
-  // count AT the limit has not relieved the pressure, so it must not restart
-  // the streak — the list is still one donation away from the same state.
-  (void)list.take(kPageSize);  // count 4 == limit: streak preserved
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 3: drain
-  EXPECT_EQ(list.trims(), 1u);
-  EXPECT_EQ(list.ranges(), 0u);
-
-  // A take that pulls the count back UNDER the limit does relieve it: the
-  // streak restarts and a fresh run of over-water donations is required.
-  next = 0xa00000;
-  for (int i = 0; i < 5; ++i) list.put(PageRange{next += kPageSize, kPageSize});
-  (void)list.take(kPageSize);  // count 4: preserved
-  (void)list.take(kPageSize);  // count 3 < limit: streak reset
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 1
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 2
-  EXPECT_EQ(list.trims(), 1u);  // not yet
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 3: drain
-  EXPECT_EQ(list.trims(), 2u);
-}
-
 // --- keyed index: shadow spans parked by the arena file offset they alias ---
 
 // Real PROT_NONE reservations, so the list's munmap paths have something to
@@ -404,10 +360,24 @@ TEST(VaFreeList, HighWaterTrimDrainsKeyedSpans) {
   }
   EXPECT_EQ(list.trims(), 0u);
   const VaFreeList::Alias last{reserve(1), 9 * kPageSize, false};
-  list.park(std::span(&last, 1));  // 4th held range crosses the limit
+  list.park(std::span(&last, 1));  // 4th held range reaches the limit
   EXPECT_EQ(list.trims(), 1u);
   EXPECT_EQ(list.ranges(), 0u);
   EXPECT_FALSE(list.take_alias(0, kPageSize).has_value());
+
+  // Plain donations obey the same rule: no drain below the limit, and the
+  // first put() that reaches it drains both indexes, not after a streak.
+  const VaFreeList::Alias keyed{reserve(1), 5 * kPageSize, true};
+  list.park(std::span(&keyed, 1));
+  list.put(reserve(1));
+  list.put(reserve(2));
+  EXPECT_EQ(list.trims(), 1u);
+  EXPECT_EQ(list.ranges(), 3u);
+  list.put(reserve(1));  // 4th held range reaches the limit
+  EXPECT_EQ(list.trims(), 2u);
+  EXPECT_EQ(list.ranges(), 0u);
+  EXPECT_EQ(list.bytes(), 0u);
+  EXPECT_FALSE(list.take_alias(5 * kPageSize, kPageSize).has_value());
 }
 
 TEST(SyscallCounters, TotalSumsComponents) {

@@ -188,7 +188,6 @@ int main(int argc, char** argv) {
                 << " shards=" << cfg.shards
                 << " magazines=" << cfg.magazine_slots
                 << " batch=" << cfg.protect_batch
-                << " batch_bytes=" << cfg.protect_batch_bytes
                 << " fault=" << (cfg.fault_plan.empty() ? "-" : cfg.fault_plan)
                 << " forced_mode=" << cfg.forced_mode
                 << " lanes=" << cfg.gen.lanes
