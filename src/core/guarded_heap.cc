@@ -77,12 +77,14 @@ void register_keyed_counters() noexcept {
 }  // namespace
 
 ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
-                           vm::VaFreeList& shadow_freelist, GuardConfig cfg)
+                           vm::VaFreeList& shadow_freelist, GuardConfig cfg,
+                           Revocation revocation)
     : arena_(arena),
       under_(under),
       shadow_freelist_(shadow_freelist),
       mapper_(arena, cfg.strategy),
       cfg_(cfg),
+      revocation_(revocation),
       gov_(cfg.governor != nullptr ? cfg.governor
                                    : &DegradationGovernor::process()),
       sampled_(cfg.sampled_table != nullptr ? cfg.sampled_table
@@ -293,7 +295,8 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
                                           std::size_t guard,
                                           std::uintptr_t canon_addr,
                                           std::uintptr_t first_page,
-                                          std::size_t size, SiteId site) {
+                                          std::size_t size, SiteId site,
+                                          bool own_alias) {
   // Header word: the canonical address, written through the shadow view (the
   // same physical memory, so the underlying allocator could equally read it
   // at the canonical address).
@@ -312,6 +315,10 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
   consume_alloc_stage(*rec);
   rec->owner_shard = shard_id_;
   rec->state.store(ObjectState::kLive, std::memory_order_release);
+  if (own_alias) {
+    rec->alias_vma = true;
+    gov_->add_vmas(alias_vmas());
+  }
 
   // Append at tail: the list stays ordered oldest-first for reclamation.
   rec->prev = head_.prev;
@@ -330,18 +337,29 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
 
 // Where dead shadow VA goes, decided here and nowhere else: the per-shard
 // recycle cache first, then the shared list — keyed by the canonical pages
-// it aliases when it is a released record's span without a guard tail
-// (batched until park_keyed_locked), plain otherwise. Every caller either
-// proved no pointer into `span` survives or never handed one out.
+// it aliases when it is a released record's span without a guard tail,
+// plain otherwise. A burying engine keys only spans that were still live:
+// its freed spans were buried and alias nothing, and a permission upgrade of
+// one would hand out anonymous zero pages in place of the object's canonical
+// memory. Released records' spans wait in a batch until
+// flush_released_locked; other spans go to the list at once. Every caller
+// either proved no pointer into `span` survives or never handed one out.
 void ShadowEngine::give_back_locked(vm::PageRange span,
                                     const ObjectRecord* rec) {
   if (park_recycled_locked(span)) return;
   if (rec != nullptr && rec->guard_length == 0 && cfg_.reuse_shadow_va) {
-    const void* first_page =
-        reinterpret_cast<void*>(vm::page_down(rec->canonical));
-    keyed_batch_.push_back(vm::VaFreeList::Alias{
-        span, arena_.offset_of(first_page),
-        rec->state.load(std::memory_order_relaxed) == ObjectState::kLive});
+    const bool live =
+        rec->state.load(std::memory_order_relaxed) == ObjectState::kLive;
+    if (live || !buries()) {
+      const void* first_page =
+          reinterpret_cast<void*>(vm::page_down(rec->canonical));
+      keyed_batch_.push_back(
+          vm::VaFreeList::Alias{span, arena_.offset_of(first_page), live});
+      return;
+    }
+  }
+  if (rec != nullptr) {
+    plain_batch_.push_back(span);
     return;
   }
   shadow_freelist_.put(span);
@@ -474,6 +492,7 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
         // Fully carved: every page of the generation is owned by some
         // object record now, so there is nothing left to track or retire.
         magazines_.erase(it);
+        gov_->add_vmas(-1);
       }
       return reinterpret_cast<void*>(sb);
     }
@@ -510,13 +529,13 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
     return nullptr;
   }
   stats_.magazine_maps.fetch_add(1, std::memory_order_relaxed);
+  gov_->add_vmas(1);  // a live generation's window: one file-backed mapping
   if (fixed != nullptr) {
     stats_.shadow_pages_reused.fetch_add(win / vm::kPageSize,
                                          std::memory_order_relaxed);
   } else {
     stats_.shadow_pages_mapped.fetch_add(win / vm::kPageSize,
                                          std::memory_order_relaxed);
-    gov_->add_vmas(1);
   }
 
   Magazine m;
@@ -543,9 +562,12 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   return reinterpret_cast<void*>(sb);
 }
 
+// Every caller erases the generation afterwards: it leaves the VMA gauge
+// here (its carved records never entered it; see install_record_locked).
 void ShadowEngine::retire_magazine_locked(std::uintptr_t window_base,
                                           Magazine& m) {
   (void)window_base;
+  gov_->add_vmas(-1);
   if (m.free_slots == 0) return;
   // Recycle maximal runs of never-claimed slots. Safe: no pointer into these
   // pages was ever handed out, so MAP_FIXED reuse cannot mask a dangling use.
@@ -623,14 +645,14 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   if (magazine_slots_ != 0) {
     if (void* sb = magazine_claim_locked(first_page, data_span)) {
       return install_record_locked(sb, span_len, guard, canon_addr, first_page,
-                                   size, site);
+                                   size, site, /*own_alias=*/false);
     }
   }
 
   if (guard == 0) {
     if (void* sb = take_alias_locked(first_page, data_span)) {
       return install_record_locked(sb, span_len, guard, canon_addr, first_page,
-                                   size, site);
+                                   size, site, /*own_alias=*/true);
     }
   }
 
@@ -639,12 +661,10 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   // Guard-path kernel calls, all Result-returning: any refusal rolls the
   // allocation back, drops the governor one rung, and re-serves the request
   // through the degraded path — the caller never sees the failure.
-  long fresh_vmas = 0;
   vm::sys::MapResult alias{};
   if (guard == 0) {
     alias = mapper_.try_alias(reinterpret_cast<void*>(first_page), data_span,
                               fixed);
-    if (alias.ok() && fixed == nullptr) fresh_vmas = 1;
   } else if (fixed == nullptr) {
     // Reserve data + guard in one anonymous PROT_NONE mapping, then place
     // the aliased data pages over its head; the tail page stays as the
@@ -656,11 +676,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     } else {
       alias = mapper_.try_alias(reinterpret_cast<void*>(first_page), data_span,
                                 region.ptr);
-      if (alias.ok()) {
-        fresh_vmas = 2;  // aliased head + PROT_NONE tail
-      } else {
-        (void)vm::sys::unmap(region.ptr, span_len);
-      }
+      if (!alias.ok()) (void)vm::sys::unmap(region.ptr, span_len);
     }
   } else {
     // Recycled range: alias the data part in place and convert the tail page
@@ -684,8 +700,6 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     gov_->on_syscall_failure("shadow-alias", alias.err);
     return fallback_alloc_locked(size, site);
   }
-  gov_->add_vmas(fresh_vmas);
-
   if (fixed != nullptr) {
     stats_.shadow_pages_reused.fetch_add(span_len / vm::kPageSize,
                                          std::memory_order_relaxed);
@@ -695,7 +709,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   }
 
   return install_record_locked(alias.ptr, span_len, guard, canon_addr,
-                               first_page, size, site);
+                               first_page, size, site, /*own_alias=*/true);
 }
 
 void ShadowEngine::free(void* p, SiteId site) {
@@ -761,6 +775,29 @@ void ShadowEngine::degraded_free_locked(void* p, SiteId site) {
   quarantine_locked(p, bytes);
 }
 
+// The revocation syscall for one span or merged run: bury it or mprotect it,
+// as the owner chose (see Revocation).
+vm::sys::IoResult ShadowEngine::revoke_span_locked(std::uintptr_t base,
+                                                   std::size_t len) {
+  stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
+  void* p = reinterpret_cast<void*>(base);
+  return buries() ? arena_.try_bury(p, len) : arena_.try_revoke(p, len);
+}
+
+// After a successful revocation: the canonical block goes back to the
+// allocator, and a buried span leaves the VMA gauge.
+void ShadowEngine::revoked_locked(ObjectRecord* rec) {
+  if (buries()) uncount_alias_locked(rec);
+  under_.free(reinterpret_cast<void*>(rec->canonical));
+}
+
+// The span stops being a file-backed alias of its own: buried, or released.
+void ShadowEngine::uncount_alias_locked(ObjectRecord* rec) noexcept {
+  if (!rec->alias_vma) return;
+  rec->alias_vma = false;
+  gov_->add_vmas(-alias_vmas());
+}
+
 // Revocation of one freed record: protect the span and return the canonical
 // block, or queue both for the next batched flush. No flush/budget decisions
 // here — callers follow with maybe_flush_locked().
@@ -771,14 +808,13 @@ void ShadowEngine::revoke_locked(ObjectRecord* rec) {
     pending_protect_.push_back(rec);
     return;
   }
-  const vm::sys::IoResult pr = arena_.try_revoke(
-      reinterpret_cast<void*>(rec->shadow_base), rec->span_length);
-  stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
+  const vm::sys::IoResult pr =
+      revoke_span_locked(rec->shadow_base, rec->span_length);
   freed_bytes_held_ += rec->span_length;
   rec->revocation_done = true;
   if (pr.ok()) {
     stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
-    under_.free(reinterpret_cast<void*>(rec->canonical));
+    revoked_locked(rec);
   } else {
     // Revocation refused: the shadow stays readable, so the physical block
     // must NOT be recycled (a new owner's data would leak through the stale
@@ -1029,9 +1065,7 @@ void ShadowEngine::flush_protections_locked() {
       stats_.protect_calls_saved.fetch_add(1, std::memory_order_relaxed);
       ++j;
     }
-    const vm::sys::IoResult r =
-        arena_.try_revoke(reinterpret_cast<void*>(run_base), run_len);
-    stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
+    const vm::sys::IoResult r = revoke_span_locked(run_base, run_len);
     if (r.ok()) {
       if (j - i > 1) {
         stats_.revoke_coalesced_pages.fetch_add(run_len / vm::kPageSize,
@@ -1041,7 +1075,7 @@ void ShadowEngine::flush_protections_locked() {
       for (std::size_t k = i; k < j; ++k) {
         ObjectRecord* rec = pending_protect_[k];
         rec->revocation_done = true;
-        under_.free(reinterpret_cast<void*>(rec->canonical));
+        revoked_locked(rec);
         freed_bytes_held_ += rec->span_length;
       }
     } else {
@@ -1050,14 +1084,13 @@ void ShadowEngine::flush_protections_locked() {
       gov_->on_syscall_failure("protect-batch", r.err);
       for (std::size_t k = i; k < j; ++k) {
         ObjectRecord* rec = pending_protect_[k];
-        const vm::sys::IoResult r2 = arena_.try_revoke(
-            reinterpret_cast<void*>(rec->shadow_base), rec->span_length);
-        stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
+        const vm::sys::IoResult r2 =
+            revoke_span_locked(rec->shadow_base, rec->span_length);
         freed_bytes_held_ += rec->span_length;
         rec->revocation_done = true;
         if (r2.ok()) {
           stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
-          under_.free(reinterpret_cast<void*>(rec->canonical));
+          revoked_locked(rec);
         } else {
           stats_.guard_failures.fetch_add(1, std::memory_order_relaxed);
           quarantine_locked(reinterpret_cast<void*>(rec->canonical),
@@ -1093,7 +1126,7 @@ void ShadowEngine::enforce_budget_locked() {
     }
     it = next;
   }
-  park_keyed_locked();
+  flush_released_locked();
 }
 
 std::size_t ShadowEngine::size_of(const void* p) const {
@@ -1107,10 +1140,11 @@ void ShadowEngine::unlink_locked(ObjectRecord* rec) noexcept {
 }
 
 // Every caller proved no pointer into the record's span remains and follows
-// with park_keyed_locked() to hand the keyed batch to the shared list.
+// with flush_released_locked() to hand the batches to the shared list.
 void ShadowEngine::release_record_locked(ObjectRecord* rec) {
   ShadowRegistry::global().erase(*rec);
   const vm::PageRange span{rec->shadow_base, rec->span_length};
+  uncount_alias_locked(rec);
   give_back_locked(span, rec);
   if (rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed &&
       rec->revocation_done) {
@@ -1124,10 +1158,21 @@ void ShadowEngine::release_record_locked(ObjectRecord* rec) {
   delete rec;
 }
 
-void ShadowEngine::park_keyed_locked() {
-  if (keyed_batch_.empty()) return;
-  shadow_freelist_.park(keyed_batch_);
-  keyed_batch_.clear();
+// Keyed spans park under one list lock. Plain spans are merged with their
+// address neighbours first: a budget release frees the oldest records, which
+// were mostly carved one after another out of the same recycled runs, so the
+// batch reassembles into a few runs. Each run is one list range (and, buried,
+// one VMA) instead of one per object, which keeps the list under its trim
+// mark, and later allocations split the runs front to back, so neighbours
+// stay neighbours.
+void ShadowEngine::flush_released_locked() {
+  if (!keyed_batch_.empty()) {
+    shadow_freelist_.park(keyed_batch_);
+    keyed_batch_.clear();
+  }
+  vm::coalesce(plain_batch_);
+  for (const vm::PageRange& run : plain_batch_) shadow_freelist_.put(run);
+  plain_batch_.clear();
 }
 
 void ShadowEngine::release_all() {
@@ -1140,7 +1185,7 @@ void ShadowEngine::release_all() {
   while (head_.next != &head_) {
     release_record_locked(head_.next);
   }
-  park_keyed_locked();
+  flush_released_locked();
   drop_magazines_locked();
   drain_recycled_locked();
 }
@@ -1159,7 +1204,7 @@ std::size_t ShadowEngine::reclaim_freed(std::size_t bytes) {
     }
     it = next;
   }
-  park_keyed_locked();
+  flush_released_locked();
   return reclaimed;
 }
 
@@ -1193,7 +1238,7 @@ void ShadowEngine::reclaim(ObjectRecord* rec) {
   assert(rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed);
   assert(rec->revocation_done);
   release_record_locked(rec);
-  park_keyed_locked();
+  flush_released_locked();
 }
 
 const ObjectRecord* ShadowEngine::record_of(const void* p) {
@@ -1222,19 +1267,12 @@ GuardStats ShadowEngine::stats() const {
 }
 
 GuardedHeap::GuardedHeap(vm::PhysArena& arena, GuardConfig cfg)
-    : source_(arena), heap_(source_), engine_(arena, heap_, shadow_va_, cfg) {
+    : source_(arena),
+      heap_(source_),
+      engine_(arena, heap_, shadow_va_, cfg, heap_revocation(cfg)) {
   // The shadow VA free list doubles as the arena's emergency VMA-relief
   // source: under kernel ENOMEM its held spans are coalesced and munmapped.
   arena.add_relief_source(&shadow_va_);
-  // Ranges the list munmaps (relief or teardown) were live guard VMAs; keep
-  // the governor's pressure estimate from ratcheting up across heap
-  // lifetimes.
-  shadow_va_.set_release_hook(
-      +[](void* gov, std::size_t ranges) {
-        static_cast<DegradationGovernor*>(gov)->add_vmas(
-            -static_cast<long>(ranges));
-      },
-      &engine_.governor());
 }
 
 GuardedHeap::~GuardedHeap() {

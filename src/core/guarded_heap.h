@@ -7,20 +7,39 @@
 // shadow page at the same offset within the page*. The underlying allocator
 // still believes the object lives at the canonical address.
 //
-// Deallocation: the shadow span is mprotect(PROT_NONE)'d — every future
-// read/write/free through any pointer to the object traps — and the
-// *canonical* address is handed back to the underlying allocator, so the
-// physical memory is reused exactly as in the original program.
+// Deallocation: the shadow span is revoked — every future read/write/free
+// through any pointer to the object traps — and the *canonical* address is
+// handed back to the underlying allocator, so the physical memory is reused
+// exactly as in the original program. Revocation takes one of two forms,
+// chosen by the owner (DESIGN.md §16):
+//
+//   bury      heap engines that reclaim through freed_va_budget (the preload
+//             heap, bench_mt) replace the span with an anonymous PROT_NONE
+//             mapping. Dead spans then merge into one VMA with their dead
+//             neighbours, so only live objects cost a VMA each.
+//   mprotect  pools, and heaps without a budget, mprotect(PROT_NONE) the
+//             alias. The span keeps its own VMA but still aliases its
+//             canonical pages, so when a pool is destroyed the next owner of
+//             those pages re-enables it in place.
 //
 // Shadow virtual pages are reused only when their owner proves no pointers
 // remain: pool destruction (GuardedPool), budgeted reclamation (§3.4
 // strategy 1), or a conservative GC pass (§3.4 strategy 2) push spans onto a
 // shared VA free list, and new shadow mappings are placed over recycled
-// addresses with MAP_FIXED — no munmap per object. Spans are parked keyed by
-// the canonical pages they alias, so an allocation on those same pages takes
-// one back with no remap at all (DESIGN.md §16). Every dead span takes one
-// route back (the per-shard recycle cache when configured, then the shared
-// list, keyed or plain) and every MAP_FIXED target one route out.
+// addresses with MAP_FIXED — no munmap per object. Spans that still alias
+// their canonical pages (live ones, and mprotect-revoked ones) are parked
+// keyed by those pages, so an allocation on the same pages takes one back
+// with no remap at all (DESIGN.md §16); buried spans alias nothing and go
+// back plain. Every dead span takes one route back (the per-shard recycle
+// cache when configured, then the shared list, keyed or plain) and every
+// MAP_FIXED target one route out.
+//
+// VMA gauge: the engine tells its governor about every file-backed mapping
+// it owns — each record with an alias of its own (see alias_vmas), each live
+// magazine window — at the sites that create, bury and release them. Ranges
+// on the shared list are outside the gauge (buried ones merge with their
+// dead neighbours; parked pool aliases are bounded by peak demand), so the
+// list's munmaps need no report back.
 //
 // Scaling layers (DESIGN.md §11):
 //
@@ -71,6 +90,7 @@ struct GuardConfig {
   // §3.4 strategy 1: when the bytes held by freed-but-still-guarded spans
   // exceed this budget, the oldest freed spans are recycled (giving up
   // detection for those objects, as the paper accepts). 0 = unlimited.
+  // A budgeted heap revokes by burying (see the header comment).
   std::size_t freed_va_budget = 0;
   // Extension (paper §6 future work: combining with spatial checking): place
   // an anonymous PROT_NONE guard page after each object's shadow span, so
@@ -91,10 +111,11 @@ struct GuardConfig {
   // (the record state transition, not the page protection, detects them).
   // 0 or 1 = protect immediately (0 is the paper's configuration).
   std::size_t protect_batch = 0;
-  // Slot magazines: bulk-alias window size in pages (DPG_MAGAZINE_SLOTS).
-  // One mmap maps `magazine_slots` contiguous canonical pages; allocations
-  // whose canonical span lands on unclaimed slots of the window's current
-  // magazine get their shadow pages with zero syscalls. 0 or 1 = off (the
+  // Slot magazines: bulk-alias window size in pages (bench_mt, tests and
+  // fuzz cells; the preload shim leaves them off). One mmap maps
+  // `magazine_slots` contiguous canonical pages; allocations whose canonical
+  // span lands on unclaimed slots of the window's current magazine get their
+  // shadow pages with zero syscalls. 0 or 1 = off (the
   // paper's per-object alias). Clamped to [2, kMaxMagazineSlots].
   std::size_t magazine_slots = 0;
   // Degradation policy (core/degrade.h). nullptr = share the process-wide
@@ -119,12 +140,24 @@ struct GuardConfig {
   std::size_t window_recycle_cap = 0;
 };
 
+// How an engine revokes a freed span; its owner decides (see the header
+// comment). Heaps reclaim dead shadow VA only through the freed-VA budget
+// and never re-enable a freed span in place, so a budgeted heap buries
+// (heap_revocation); pools reclaim at pooldestroy, where keyed reuse
+// re-enables revoked aliases, so they keep mprotect.
+enum class Revocation { kProtect, kBury };
+
+[[nodiscard]] inline Revocation heap_revocation(const GuardConfig& cfg) {
+  return cfg.freed_va_budget != 0 ? Revocation::kBury : Revocation::kProtect;
+}
+
 class ShadowEngine {
  public:
   // `shadow_freelist` may be shared across engines (the paper's free list is
   // "shared across pools") and must outlive the engine.
   ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
-               vm::VaFreeList& shadow_freelist, GuardConfig cfg = {});
+               vm::VaFreeList& shadow_freelist, GuardConfig cfg = {},
+               Revocation revocation = Revocation::kProtect);
   ~ShadowEngine();
 
   ShadowEngine(const ShadowEngine&) = delete;
@@ -211,9 +244,6 @@ class ShadowEngine {
   // back to the per-object alias until re-touched).
   static constexpr std::size_t kMaxMagazineWindows = 256;
 
-  // The engine's governor (never null after construction).
-  [[nodiscard]] DegradationGovernor& governor() noexcept { return *gov_; }
-
   // Shard identity (stamped into every record for cross-shard free routing).
   void set_shard_id(std::uint32_t id) noexcept { shard_id_ = id; }
   [[nodiscard]] std::uint32_t shard_id() const noexcept { return shard_id_; }
@@ -270,10 +300,10 @@ class ShadowEngine {
   void* install_record_locked(void* shadow_base, std::size_t span_len,
                               std::size_t guard, std::uintptr_t canon_addr,
                               std::uintptr_t first_page, std::size_t size,
-                              SiteId site);
+                              SiteId site, bool own_alias);
   void* magazine_claim_locked(std::uintptr_t first_page, std::size_t data_span);
   void* take_alias_locked(std::uintptr_t first_page, std::size_t data_span);
-  void park_keyed_locked();
+  void flush_released_locked();
   void* take_va_locked(std::size_t len, bool may_split);
   void give_back_locked(vm::PageRange span, const ObjectRecord* rec = nullptr);
   void* take_recycled_locked(std::size_t len) noexcept;
@@ -286,6 +316,19 @@ class ShadowEngine {
   void quarantine_locked(void* block, std::size_t bytes);
   std::size_t drain_quarantine_locked();
   void revoke_locked(ObjectRecord* rec);
+  vm::sys::IoResult revoke_span_locked(std::uintptr_t base, std::size_t len);
+  void revoked_locked(ObjectRecord* rec);
+  void uncount_alias_locked(ObjectRecord* rec) noexcept;
+  [[nodiscard]] bool buries() const noexcept {
+    return revocation_ == Revocation::kBury;
+  }
+  // What one live alias costs in the VMA gauge. Buried spans merge, so a
+  // graveyard splits into separate VMAs only where something live sits
+  // between its runs: on a burying engine each alias counts itself plus the
+  // one graveyard run it can cut off (an upper bound, reached when lifetimes
+  // interleave). An mprotect-revoked span keeps its own VMA and stays counted
+  // until release, so there an alias is one.
+  [[nodiscard]] long alias_vmas() const noexcept { return buries() ? 2 : 1; }
   void maybe_flush_locked();
   std::size_t drain_remote_locked();
   void release_record_locked(ObjectRecord* rec);
@@ -299,6 +342,7 @@ class ShadowEngine {
   vm::VaFreeList& shadow_freelist_;
   vm::ShadowMapper mapper_;
   GuardConfig cfg_;
+  const Revocation revocation_;
   DegradationGovernor* gov_;
   std::uint32_t shard_id_ = 0;
 
@@ -312,10 +356,11 @@ class ShadowEngine {
   // freelist. Drained to the freelist at release_all.
   std::vector<vm::PageRange> va_recycle_;
 
-  // Spans released since the last park_keyed_locked(), keyed by the canonical
-  // pages they alias; every release_record_locked caller flushes the batch
-  // to the shared list under one freelist lock acquisition.
+  // Spans released since the last flush_released_locked(): keyed by the
+  // canonical pages they alias, or plain (merged with address neighbours at
+  // the flush). Every release_record_locked caller flushes both.
   std::vector<vm::VaFreeList::Alias> keyed_batch_;
+  std::vector<vm::PageRange> plain_batch_;
 
   // Slot magazines: canonical-window base -> current generation.
   std::size_t magazine_slots_ = 0;  // validated; 0 = off

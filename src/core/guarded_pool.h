@@ -34,15 +34,6 @@ class GuardedPoolContext {
       : arena_(arena_window), source_(arena_), cfg_(cfg) {
     // The shared shadow VA list is the arena's emergency VMA-relief source.
     arena_.add_relief_source(&shadow_va_);
-    // Spans it munmaps were live guard VMAs: settle them with the governor
-    // so the pressure estimate does not ratchet up across pool contexts.
-    shadow_va_.set_release_hook(
-        +[](void* gov, std::size_t ranges) {
-          static_cast<DegradationGovernor*>(gov)->add_vmas(
-              -static_cast<long>(ranges));
-        },
-        cfg_.governor != nullptr ? cfg_.governor
-                                 : &DegradationGovernor::process());
   }
 
   ~GuardedPoolContext() { arena_.remove_relief_source(&shadow_va_); }
@@ -69,7 +60,8 @@ class GuardedPoolContext {
 
 class GuardedPool {
  public:
-  // poolinit(&PP, elem_size).
+  // poolinit(&PP, elem_size). The engine revokes with mprotect whatever the
+  // budget, so a destroyed pool's revoked aliases stay reusable in place.
   explicit GuardedPool(GuardedPoolContext& ctx, std::size_t elem_size_hint = 0)
       : pool_(ctx.source(), elem_size_hint),
         engine_(ctx.arena(), pool_, ctx.shadow_freelist(), ctx.config()) {}

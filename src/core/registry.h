@@ -28,7 +28,7 @@ namespace dpg::core {
 
 enum class ObjectState : std::uint32_t {
   kLive,
-  kFreed,  // shadow pages PROT_NONE; any access is a dangling use
+  kFreed,  // shadow pages PROT_NONE (or buried); any access is a dangling use
 };
 
 // One record per allocation. Owned by the guard engine that created it and
@@ -64,6 +64,10 @@ struct ObjectRecord {
   // revocation queue or on the remote-free list — and must not be released
   // by budget reclamation or handed to the GC.
   bool revocation_done = false;
+  // True while the span is a file-backed alias of its own (not carved from a
+  // magazine window) and counted in the owner's governor VMA gauge. Cleared
+  // when the span is buried or released. Owner-lock protected.
+  bool alias_vma = false;
 
   ObjectRecord* prev = nullptr;  // intrusive owner list
   ObjectRecord* next = nullptr;

@@ -41,18 +41,13 @@ ShardedHeap::ShardedHeap(vm::PhysArena& arena, GuardConfig cfg,
   engines_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     engines_.push_back(
-        std::make_unique<ShadowEngine>(arena, heap_, shadow_va_, cfg));
+        std::make_unique<ShadowEngine>(arena, heap_, shadow_va_, cfg,
+                                       heap_revocation(cfg)));
     engines_.back()->set_shard_id(static_cast<std::uint32_t>(i));
   }
   // Same arena integration as GuardedHeap: the shared shadow VA list is the
-  // emergency VMA-relief source, and ranges it munmaps were guard VMAs.
+  // emergency VMA-relief source.
   arena.add_relief_source(&shadow_va_);
-  shadow_va_.set_release_hook(
-      +[](void* gov, std::size_t ranges) {
-        static_cast<DegradationGovernor*>(gov)->add_vmas(
-            -static_cast<long>(ranges));
-      },
-      cfg.governor);
 }
 
 ShardedHeap::~ShardedHeap() {

@@ -149,6 +149,7 @@ core::GuardConfig guard_config(const FuzzConfig& cfg,
   gc.protect_batch = cfg.protect_batch;
   gc.magazine_slots = cfg.magazine_slots;
   gc.window_recycle_cap = cfg.recycle_cap;
+  gc.freed_va_budget = cfg.va_budget;
   gc.governor = gov;
   return gc;
 }
@@ -935,6 +936,17 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     c.magazine_slots = 64;
     c.protect_batch = 16;
     c.recycle_cap = 32;
+    v.push_back(c);
+  }
+  {
+    // Graveyard revocation (DESIGN.md §16): a freed-VA budget makes every
+    // free bury its span, the preload heap's shape, over 4 shards with
+    // cross-shard frees. 64 GiB (16 GiB a shard) is above any run's freed
+    // bytes, so nothing is released and the oracle stays exact.
+    FuzzConfig c = base("grave-4shard-mt");
+    c.shards = 4;
+    c.gen.lanes = 4;
+    c.va_budget = std::size_t{1} << 36;
     v.push_back(c);
   }
   return v;

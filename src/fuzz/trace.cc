@@ -190,6 +190,7 @@ std::string to_replay(const FuzzConfig& cfg, const Trace& trace) {
   out << "tag_lane " << (cfg.tag_lane ? 1 : 0) << "\n";
   out << "tag_bits " << cfg.tag_bits << "\n";
   out << "recycle_cap " << cfg.recycle_cap << "\n";
+  out << "va_budget " << cfg.va_budget << "\n";
   out << "seed " << trace.seed << "\n";
   out << "lanes " << trace.lanes << "\n";
   out << "ops " << trace.ops.size() << "\n";
@@ -260,6 +261,8 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       in >> c.tag_bits;
     } else if (tag == "recycle_cap") {
       in >> c.recycle_cap;
+    } else if (tag == "va_budget") {
+      in >> c.va_budget;
     } else if (tag == "seed") {
       in >> t.seed;
     } else if (tag == "lanes") {

@@ -115,6 +115,10 @@ struct FuzzConfig {
   unsigned tag_bits = 15;
   // GuardConfig::window_recycle_cap for the MAP_FIXED recycle-cache cell.
   std::size_t recycle_cap = 0;
+  // GuardConfig::freed_va_budget. Nonzero makes every free bury its span
+  // (graveyard revocation, DESIGN.md §16). The oracle does not model budget
+  // releases, so a cell sets this above the run's total freed bytes.
+  std::size_t va_budget = 0;
   GenParams gen;
 
   bool operator==(const FuzzConfig&) const = default;

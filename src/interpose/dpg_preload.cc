@@ -60,15 +60,17 @@ dpg::core::Runtime& runtime() {
   // internal allocations route to __libc_malloc under the depth guard.
   dpg::obs::init_from_env();
   // Performance knobs (DESIGN.md §11). Defaults keep detection immediate:
-  // magazines only amortize the *allocation* mmap, so they are on by default;
-  // batched revocation delays the free-side mprotect, so it stays opt-in.
-  // The MAP_FIXED recycle cache stays off: spans parked there escape the
-  // VA list's trim and the governor's VMA bound (DESIGN.md §16).
+  // batched revocation delays the free-side revocation, so it stays opt-in.
+  // The freed-VA budget makes the heap revoke by burying (DESIGN.md §16):
+  // a freed span becomes anonymous PROT_NONE and merges with its dead
+  // neighbours, so the process's mappings track its live objects, not its
+  // dead ones.
+  // Slot magazines stay off: their windows split into one VMA per freed
+  // slot, and their retired slot runs flooded the shared VA list (and its
+  // trim) with fragments. The MAP_FIXED recycle cache stays off too: spans
+  // parked there escape the VA list's trim.
   dpg::core::RuntimeConfig cfg{
       .guard = {.freed_va_budget = std::size_t{256} << 20}};
-  cfg.guard.magazine_slots = static_cast<std::size_t>(dpg::obs::env_long(
-      "DPG_MAGAZINE_SLOTS", 64, 0,
-      static_cast<long>(dpg::core::ShadowEngine::kMaxMagazineSlots)));
   cfg.guard.protect_batch = static_cast<std::size_t>(
       dpg::obs::env_long("DPG_PROTECT_BATCH", 0, 0, 1 << 20));
   cfg.shards =

@@ -7,8 +7,10 @@
 //   Offset(a) = a &  (2^p - 1)
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace dpg::vm {
 
@@ -47,5 +49,23 @@ struct PageRange {
   }
   friend bool operator==(const PageRange&, const PageRange&) = default;
 };
+
+// Sorts `ranges` by base and merges address neighbours in place, so each
+// contiguous run becomes one range.
+inline void coalesce(std::vector<PageRange>& ranges) {
+  std::sort(ranges.begin(), ranges.end(),
+            [](const PageRange& a, const PageRange& b) {
+              return a.base < b.base;
+            });
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    if (out != 0 && ranges[out - 1].end() == ranges[i].base) {
+      ranges[out - 1].length += ranges[i].length;
+    } else {
+      ranges[out++] = ranges[i];
+    }
+  }
+  ranges.resize(out);
+}
 
 }  // namespace dpg::vm

@@ -135,6 +135,16 @@ sys::IoResult PhysArena::try_revoke(void* p, std::size_t len) noexcept {
   return r;
 }
 
+sys::IoResult PhysArena::try_bury(void* p, std::size_t len) noexcept {
+  sys::IoResult r = try_map_guard(p, len);
+  if (!r.ok() && r.err == ENOMEM) {
+    // Replacing the middle of a VMA splits it, so the remap meets
+    // vm.max_map_count like mprotect does: relieve and retry once.
+    if (release_relief() > 0) r = try_map_guard(p, len);
+  }
+  return r;
+}
+
 sys::IoResult PhysArena::try_protect_rw(void* p, std::size_t len) noexcept {
   return sys::protect(p, page_up(len), PROT_READ | PROT_WRITE);
 }

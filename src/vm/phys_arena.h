@@ -15,6 +15,12 @@
 // physical memory while every dangling pointer through the shadow address
 // traps.
 //
+// Each alias is one VMA of its own: aliases of non-adjacent file offsets
+// never merge, and a PROT_NONE alias still maps the file. Burying a freed
+// shadow span instead (try_bury: an anonymous PROT_NONE mapping over it)
+// traps the same accesses, and adjacent buried spans merge into one VMA, so
+// a process's VMA count tracks its live objects rather than its dead ones.
+//
 // The paper used Linux's (then undocumented) mremap(old_size = 0) to create
 // the alias and noted that "on systems where this feature is not available,
 // we can use mmap with an in-memory file system". memfd_create is the modern
@@ -94,6 +100,15 @@ class PhysArena {
   // like mmap does. On ENOMEM the relief lists are released (coalesce +
   // munmap of every recyclable shadow span) and the protect retried once.
   sys::IoResult try_revoke(void* p, std::size_t len) noexcept;
+  // Graveyard revocation: replaces the span with an anonymous PROT_NONE
+  // mapping (MAP_FIXED), same ENOMEM relief and single retry as try_revoke.
+  // A dangling access traps exactly as on a PROT_NONE alias, but the span no
+  // longer maps the arena file, so it merges with adjacent buried spans and
+  // guard tails into one VMA whatever they used to alias, and the kernel
+  // zaps its alias PTEs. Its canonical pages are gone from this address: a
+  // buried span can only come back through a MAP_FIXED re-alias, never a
+  // permission upgrade.
+  sys::IoResult try_bury(void* p, std::size_t len) noexcept;
   static sys::IoResult try_protect_rw(void* p, std::size_t len) noexcept;
   static void protect_none(void* p, std::size_t len);  // throws system_error
   static void protect_rw(void* p, std::size_t len);    // throws system_error

@@ -1,6 +1,5 @@
 #include "vm/va_freelist.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -58,8 +57,8 @@ void VaFreeList::put(PageRange range) {
     ++count_;
     over_water = over_water_locked();
   }
-  // High-water crossing: reuse is not keeping up with donation, and every
-  // held range is one VMA against vm.max_map_count. Drain the whole list
+  // High-water crossing: reuse is not keeping up with donation, and a held
+  // alias is one VMA against vm.max_map_count. Drain the whole list
   // through the coalescing release path — adjacent ranges merge into a
   // handful of munmap calls, so the trim amortizes to far less than one
   // syscall per range (a retail unmap-per-put here measurably halves
@@ -218,12 +217,6 @@ std::optional<PageRange> VaFreeList::take_exact(std::size_t len) {
   return take_keyed_by_size_locked(want_pages);
 }
 
-void VaFreeList::set_release_hook(ReleaseHook hook, void* ctx) noexcept {
-  std::lock_guard lock(mu_);
-  hook_ = hook;
-  hook_ctx_ = ctx;
-}
-
 std::vector<PageRange> VaFreeList::take_all_locked() {
   std::vector<PageRange> all;
   all.reserve(count_);
@@ -249,38 +242,22 @@ std::vector<PageRange> VaFreeList::take_all_locked() {
 
 std::size_t VaFreeList::release_all() noexcept {
   std::vector<PageRange> all;
-  ReleaseHook hook = nullptr;
-  void* hook_ctx = nullptr;
   {
     std::lock_guard lock(mu_);
     all = take_all_locked();
-    hook = hook_;
-    hook_ctx = hook_ctx_;
   }
   // Borrowed ranges belong to the arena's canonical mapping: forget them.
-  if (all.empty() || ranges_ == Ranges::kBorrowed) return 0;
+  if (ranges_ == Ranges::kBorrowed) return 0;
   // Coalesce: pool pages often re-enter the list in allocation order, so
   // sorting and merging adjacent ranges turns thousands of per-object spans
   // into a handful of munmap calls — this path runs when the kernel is
   // already refusing us VMAs, so economy matters.
-  std::sort(all.begin(), all.end(),
-            [](const PageRange& a, const PageRange& b) {
-              return a.base < b.base;
-            });
+  coalesce(all);
   std::size_t released = 0;
-  PageRange run = all.front();
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    if (all[i].base == run.end()) {
-      run.length += all[i].length;
-      continue;
-    }
+  for (const PageRange& run : all) {
     sys::unmap(reinterpret_cast<void*>(run.base), run.length);
     released += run.length;
-    run = all[i];
   }
-  sys::unmap(reinterpret_cast<void*>(run.base), run.length);
-  released += run.length;
-  if (hook != nullptr) hook(hook_ctx, all.size());
   return released;
 }
 

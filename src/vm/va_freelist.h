@@ -4,10 +4,13 @@
 //  pages shared across pools and adding all pool pages to this free list at a
 //  pool destroy."
 //
-// Ranges pushed here remain *mapped* (shadow pages stay PROT_NONE or RW,
-// canonical pages stay RW); a consumer takes an address and mmap(MAP_FIXED)s
-// a new mapping directly over it, which atomically replaces the old one — no
-// munmap per object ever happens on the hot path.
+// Ranges pushed here remain *mapped* (shadow pages stay buried, PROT_NONE or
+// RW aliases; canonical pages stay RW); a consumer takes an address and
+// mmap(MAP_FIXED)s a new mapping directly over it, which atomically replaces
+// the old one — no munmap per object ever happens on the hot path. What a
+// held range costs in VMAs depends on what it holds: a buried span (anonymous
+// PROT_NONE, see PhysArena::try_bury) merges with adjacent buried spans, an
+// alias is one VMA of its own.
 //
 // Two indexes share one range count and one byte total:
 //
@@ -32,7 +35,8 @@
 //
 // Keyed reuse is as safe as plain reuse because it rests on the same proof:
 // a span is parked only after its owner showed no pointer into it survives
-// (pooldestroy, or budget/GC reclamation of a revoked object). The new owner
+// (pooldestroy, or budget/GC reclamation of an mprotect-revoked object; a
+// buried span aliases nothing and is never parked). The new owner
 // receives an alias of its own canonical pages — what a fresh mmap would
 // have produced — and its frees revoke the span exactly as before. The list
 // already held these read-write and PROT_NONE aliases before keying; keying
@@ -72,11 +76,12 @@ class VaFreeList {
   VaFreeList(const VaFreeList&) = delete;
   VaFreeList& operator=(const VaFreeList&) = delete;
 
-  // Donates a mapped, page-aligned range for future reuse. Every held range
-  // is one live VMA, and vm.max_map_count is a hard per-process limit that
-  // even munmap needs headroom under (an interior unmap must *split* a VMA
-  // to proceed) — so when the held-range count crosses a high-water mark,
-  // put() drains the entire list through the coalescing release_all() path.
+  // Donates a mapped, page-aligned range for future reuse. A held alias is
+  // one live VMA (a buried range may share one with its neighbours), and
+  // vm.max_map_count is a hard per-process limit that even munmap needs
+  // headroom under (an interior unmap must *split* a VMA to proceed) — so
+  // when the held-range count crosses a high-water mark, put() drains the
+  // entire list through the coalescing release_all() path.
   // Trimming proactively keeps the list's VMA footprint bounded long before
   // the emergency valve, which only runs once the kernel already refused.
   // A kBorrowed list never trims.
@@ -137,14 +142,6 @@ class VaFreeList {
   // kernel refuses mmap/ftruncate with ENOMEM.
   std::size_t release_all() noexcept;
 
-  // Invoked after release_all() hands spans back to the kernel, with the
-  // number of ranges that left the list (each held range was one live VMA).
-  // Owners use it to keep an external VMA estimate honest — without it the
-  // DegradationGovernor's pressure gauge only ever climbs, and long-lived
-  // processes cycling heaps degrade on phantom pressure.
-  using ReleaseHook = void (*)(void* ctx, std::size_t ranges);
-  void set_release_hook(ReleaseHook hook, void* ctx) noexcept;
-
   // Drains every held range of both indexes, invoking `release(range)` on
   // each (used at teardown to hand the addresses back to the kernel).
   template <typename Fn>
@@ -203,11 +200,9 @@ class VaFreeList {
   std::unordered_map<Key, std::uint32_t, KeyHash> by_key_;  // -> newest node
   std::unordered_map<std::size_t, SizeFifo> by_size_;       // pages -> FIFO
   std::size_t bytes_ = 0;
-  std::size_t count_ = 0;                    // held ranges (== held VMAs)
+  std::size_t count_ = 0;                    // held ranges
   std::size_t trim_limit_ = kDefaultTrimLimit;
   std::size_t trims_ = 0;                    // high-water drains fired
-  ReleaseHook hook_ = nullptr;
-  void* hook_ctx_ = nullptr;
 };
 
 }  // namespace dpg::vm

@@ -4,6 +4,8 @@
 //   preload_victim clean    exercise malloc/calloc/realloc/free correctly
 //   preload_victim churn    sustained varied-size malloc/free (a server-ish
 //                           workload; used for degraded-mode smoke runs)
+//   preload_victim hold     keep a few thousand blocks live at once, then
+//                           free them (drives the VMA gauge up)
 //   preload_victim uaf      read through a dangling pointer
 //   preload_victim uaf-w    write through a dangling pointer
 //   preload_victim df       double free
@@ -15,6 +17,7 @@
 //    2  unknown mode on the command line
 //    3  clean: calloc memory was not zeroed
 //    4  churn: malloc returned nullptr
+//    5  hold: malloc returned nullptr or a block lost its contents
 //   10  uaf: dangling read went undetected
 //   11  uaf-w: dangling write went undetected
 //   12  df: double free went undetected
@@ -94,6 +97,27 @@ int run_churn() {
   return 0;
 }
 
+// Thousands of simultaneously live blocks: each guarded one holds an alias
+// VMA, so a low DPG_VMA_BUDGET must move the governor's ladder.
+int run_hold() {
+  std::vector<char*> live;
+  for (int i = 0; i < 3000; ++i) {
+    const std::size_t size = static_cast<std::size_t>(24 + (i * 53) % 2000);
+    auto* p = static_cast<char*>(std::malloc(size));
+    if (p == nullptr) return 5;
+    std::memset(p, 'a' + i % 26, size);
+    live.push_back(p);
+  }
+  long checksum = 0;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (live[i][0] != 'a' + static_cast<int>(i % 26)) return 5;
+    checksum += live[i][0];
+    std::free(live[i]);
+  }
+  std::printf("hold ok %ld\n", checksum);
+  return 0;
+}
+
 int run_uaf(bool write) {
   auto* p = static_cast<char*>(std::malloc(64));
   std::strcpy(p, "session-token");
@@ -138,6 +162,7 @@ int main(int argc, char** argv) {
   const std::string mode = argc > 1 ? argv[1] : "clean";
   if (mode == "clean") return run_clean();
   if (mode == "churn") return run_churn();
+  if (mode == "hold") return run_hold();
   if (mode == "uaf") return run_uaf(false);
   if (mode == "uaf-w") return run_uaf(true);
   if (mode == "df") return run_df();

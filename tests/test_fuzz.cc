@@ -79,6 +79,7 @@ TEST(FuzzTrace, ReplayRoundTripIsByteIdentical) {
   cfg.name = "batch16-1shard";
   cfg.protect_batch = 16;
   cfg.recycle_cap = 32;  // the recycle field rides the header too
+  cfg.va_budget = std::size_t{1} << 36;  // and so does the freed-VA budget
   cfg.gen.n_ops = 200;
   const Trace t = generate(dpg::testing::dpg_test_seed(7), cfg.gen);
   const std::string text = to_replay(cfg, t);

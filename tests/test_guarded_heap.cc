@@ -1,12 +1,16 @@
 // Tests for the core contribution: GuardedHeap / ShadowEngine (Section 3.2).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/fault_manager.h"
 #include "core/guarded_heap.h"
+#include "core/sharded_heap.h"
+#include "vm/vm_stats.h"
 #include "workloads/common.h"
 
 namespace dpg::core {
@@ -291,6 +295,175 @@ TEST(GuardedHeapStress, RandomChurnWithDanglingProbes) {
     }
   }
   for (auto& [p, size] : live) heap.free(p);
+}
+
+// --- graveyard revocation (DESIGN.md §16) ----------------------------------
+// A budgeted engine revokes by burying: the freed span becomes an anonymous
+// PROT_NONE mapping that no longer aliases its canonical pages.
+
+GuardConfig graveyard_config() {
+  GuardConfig cfg;
+  cfg.freed_va_budget = 1u << 20;
+  return cfg;
+}
+
+TEST(GraveyardRevocation, ReallocationOnTheSameCanonicalPageReadsBack) {
+  vm::PhysArena arena(1u << 28);
+  GuardedHeap heap(arena, graveyard_config());
+  auto* p = static_cast<char*>(heap.malloc(64));
+  const std::uintptr_t canonical = ShadowEngine::record_of(p)->canonical;
+  heap.free(p);
+  // Budget release: the buried span goes back to the shared list.
+  ASSERT_EQ(heap.engine().reclaim_freed(vm::kPageSize), vm::kPageSize);
+  auto* q = static_cast<char*>(heap.malloc(64));
+  const ObjectRecord* rec = ShadowEngine::record_of(q);
+  ASSERT_NE(rec, nullptr);
+  ASSERT_EQ(rec->canonical, canonical) << "allocator did not reuse the block";
+  std::memset(q, 0x5A, 64);
+  const auto* canon_bytes = reinterpret_cast<const unsigned char*>(
+      canonical + ShadowEngine::kGuardHeader);
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_EQ(canon_bytes[i], 0x5A) << "byte " << i
+                                    << " did not reach the canonical page";
+  }
+  heap.free(q);
+}
+
+TEST(GraveyardRevocation, BuriedSpanNeverReachesKeyedTakeAsRevoked) {
+  vm::PhysArena arena(1u << 28);
+  GuardedHeap heap(arena, graveyard_config());
+  auto* p = static_cast<char*>(heap.malloc(64));
+  const std::uintptr_t first_page =
+      vm::page_down(ShadowEngine::record_of(p)->canonical);
+  heap.free(p);
+  ASSERT_EQ(heap.engine().reclaim_freed(vm::kPageSize), vm::kPageSize);
+  // The span went back plain: no keyed entry for its canonical page.
+  EXPECT_EQ(heap.shadow_freelist().ranges(), 1u);
+  EXPECT_FALSE(heap.shadow_freelist()
+                   .take_alias(arena.offset_of(reinterpret_cast<void*>(
+                                   first_page)),
+                               vm::kPageSize)
+                   .has_value());
+
+  // Churn past the budget many times over: releases never feed an upgrade.
+  for (int i = 0; i < 2000; ++i) heap.free(heap.malloc(16 + i % 3000));
+  EXPECT_GT(heap.stats().va_reclaimed_pages, 256u);
+  EXPECT_EQ(heap.stats().va_keyed_upgrades, 0u);
+
+  // The mprotect owner (no budget) still parks revoked spans keyed.
+  GuardedHeap pool_like(arena);
+  auto* r = static_cast<char*>(pool_like.malloc(64));
+  const std::uintptr_t r_page =
+      vm::page_down(ShadowEngine::record_of(r)->canonical);
+  pool_like.free(r);
+  ASSERT_EQ(pool_like.engine().reclaim_freed(vm::kPageSize), vm::kPageSize);
+  const auto revoked = pool_like.shadow_freelist().take_alias(
+      arena.offset_of(reinterpret_cast<void*>(r_page)), vm::kPageSize);
+  ASSERT_TRUE(revoked.has_value());
+  EXPECT_FALSE(revoked->rw);
+  pool_like.shadow_freelist().put(revoked->range);
+}
+
+TEST(GraveyardRevocation, DanglingUsesOfABuriedSpanAreExact) {
+  vm::PhysArena arena(1u << 28);
+  GuardedHeap heap(arena, graveyard_config());
+  auto* p = static_cast<char*>(heap.malloc(5000));  // two pages
+  heap.free(p, /*site=*/21);
+  ASSERT_TRUE(heap.engine().revocation_applied(p));
+  const auto read = catch_dangling([&] {
+    volatile char c = p[4500];
+    (void)c;
+  });
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->kind, AccessKind::kRead);
+  EXPECT_EQ(read->free_site, 21u);
+  EXPECT_EQ(read->object_size, 5000u);
+  const auto write = catch_dangling([&] { p[7] = 'w'; });
+  ASSERT_TRUE(write.has_value());
+#if defined(__x86_64__)
+  EXPECT_EQ(write->kind, AccessKind::kWrite);
+#endif
+  const auto df = catch_dangling([&] { heap.free(p, 22); });
+  ASSERT_TRUE(df.has_value());
+  EXPECT_EQ(df->kind, AccessKind::kFree);
+  EXPECT_EQ(df->free_site, 21u);
+  EXPECT_EQ(heap.stats().double_frees, 1u);
+}
+
+TEST(GraveyardRevocation, ShardedHeapRevokesEveryFreeWithoutMprotect) {
+  vm::PhysArena arena(1u << 28);
+  DegradationGovernor gov;
+  GuardConfig cfg = graveyard_config();
+  cfg.freed_va_budget = 8u << 20;  // 2 MiB a shard: releases happen
+  cfg.governor = &gov;
+  ShardedHeap heap(arena, cfg, 4);
+  const std::uint64_t mprotect0 = vm::syscall_counters().mprotect.load();
+  constexpr int kThreads = 4;
+  constexpr int kPairs = 3000;
+  std::vector<std::atomic<void*>> handoff(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      FaultManager::ensure_altstack();
+      for (int i = 0; i < kPairs; ++i) {
+        void* p = heap.malloc(16 + static_cast<std::size_t>(i % 9000));
+        if (i % 4 == 0) {
+          // Cross-shard free: the next thread frees it on its own path.
+          if (void* prev = handoff[(t + 1) % kThreads].exchange(p)) {
+            heap.free(prev);
+          }
+        } else {
+          heap.free(p);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (auto& h : handoff) {
+    if (void* p = h.exchange(nullptr)) heap.free(p);
+  }
+  heap.flush_all();
+  const GuardStats s = heap.stats();
+  EXPECT_EQ(s.frees, static_cast<std::uint64_t>(kThreads) * kPairs);
+  EXPECT_EQ(s.frees, s.revoked_spans);
+  EXPECT_GT(s.va_reclaimed_pages, 0u);
+  EXPECT_EQ(vm::syscall_counters().mprotect.load() - mprotect0, 0u);
+  EXPECT_EQ(gov.mode(), GuardMode::kFullGuard);
+}
+
+// The governor's VMA gauge counts the engine's own file-backed aliases: a
+// buried span leaves it at the free, an mprotect-revoked one at release. On a
+// burying engine each live alias also stands for the graveyard run it can
+// split off, so it counts two.
+TEST(GraveyardRevocation, VmaGaugeCountsLiveAliasesOnly) {
+  vm::PhysArena arena(1u << 28);
+  DegradationGovernor gov;
+  GuardConfig cfg = graveyard_config();
+  cfg.governor = &gov;
+  std::vector<void*> ptrs;
+  {
+    GuardedHeap heap(arena, cfg);
+    for (int i = 0; i < 100; ++i) ptrs.push_back(heap.malloc(100));
+    EXPECT_EQ(gov.counters().vma_estimate.load(), 200u);
+    for (void* p : ptrs) heap.free(p);
+    EXPECT_EQ(gov.counters().vma_estimate.load(), 0u);
+    // Reuse of the released (buried) spans counts them back in.
+    heap.engine().reclaim_freed(~std::size_t{0});
+    ptrs.clear();
+    for (int i = 0; i < 10; ++i) ptrs.push_back(heap.malloc(100));
+    EXPECT_EQ(gov.counters().vma_estimate.load(), 20u);
+    for (void* p : ptrs) heap.free(p);
+  }
+  EXPECT_EQ(gov.counters().vma_estimate.load(), 0u);
+
+  cfg.freed_va_budget = 0;  // the mprotect owner
+  GuardedHeap heap(arena, cfg);
+  ptrs.clear();
+  for (int i = 0; i < 50; ++i) ptrs.push_back(heap.malloc(100));
+  for (void* p : ptrs) heap.free(p);
+  EXPECT_EQ(gov.counters().vma_estimate.load(), 50u);
+  heap.engine().reclaim_freed(~std::size_t{0});
+  EXPECT_EQ(gov.counters().vma_estimate.load(), 0u);
 }
 
 }  // namespace

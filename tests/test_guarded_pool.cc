@@ -255,6 +255,29 @@ TEST(GuardedPoolKeyedReuse, RevokedAliasIsReenabledAndTrapsAgain) {
   EXPECT_EQ(report->free_site, 9u);
 }
 
+// Pools keep mprotect revocation even with a freed-VA budget (the shape the
+// pool policy ships): a revoked alias still maps its canonical page, so the
+// next pool re-enables it with one upgrade instead of burying and remapping.
+TEST(GuardedPoolKeyedReuse, BudgetedPoolRevokesInPlaceNotByBurying) {
+  GuardedPoolContext ctx(GuardConfig{.freed_va_budget = std::size_t{128} << 20});
+  {
+    GuardedPool pool(ctx, 48);
+    const auto m0 = mmaps();
+    const auto p0 = mprotects();
+    pool.free(pool.alloc(48));
+    EXPECT_EQ(mmaps(), m0 + 1);       // the alias
+    EXPECT_EQ(mprotects(), p0 + 1);   // the revocation
+  }
+  GuardedPool pool(ctx, 48);
+  const auto m0 = mmaps();
+  const auto p0 = mprotects();
+  void* p = pool.alloc(48);
+  EXPECT_EQ(mmaps(), m0);
+  EXPECT_EQ(mprotects(), p0 + 1);  // the read-write upgrade
+  EXPECT_EQ(pool.stats().va_keyed_upgrades, 1u);
+  pool.free(p);
+}
+
 TEST(GuardedPoolKeyedReuse, OtherCanonicalPageTakesSpanOnlyViaMapFixed) {
   GuardedPoolContext ctx;
   std::uintptr_t parked_shadow = 0;

@@ -161,6 +161,38 @@ TEST(Preload, SurvivesInjectedMmapExhaustionDegraded) {
       << json;
 }
 
+// The VMA gauge counts each live guarded block's alias, so a low budget
+// demotes the ladder proactively ("vma-pressure") before the kernel refuses
+// anything: no guard syscall failure may precede or follow it.
+TEST(Preload, LowVmaBudgetDemotesOnPressureBeforeAnyGuardFailure) {
+  char path_tmpl[] = "/tmp/dpg_metrics_XXXXXX";
+  const int fd = mkstemp(path_tmpl);
+  ASSERT_GE(fd, 0);
+  close(fd);
+  const RunResult r = run_victim(
+      "hold", true,
+      std::string("DPG_VMA_BUDGET=1000 DPG_METRICS_PATH=") + path_tmpl);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("hold ok"), std::string::npos) << r.output;
+  const auto first_move = r.output.find("dpguard: guard policy");
+  ASSERT_NE(first_move, std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("(vma-pressure)"),
+            r.output.find('(', first_move))
+      << "the first transition must be vma-pressure:\n" << r.output;
+
+  std::string json;
+  if (FILE* f = fopen(path_tmpl, "r")) {
+    std::array<char, 512> buf;
+    while (fgets(buf.data(), buf.size(), f) != nullptr) json += buf.data();
+    fclose(f);
+  }
+  unlink(path_tmpl);
+  EXPECT_GE(metric_value(json, "dpg_degrade_transitions"), 1) << json;
+  EXPECT_EQ(metric_value(json, "dpg_degrade_syscall_failures"), 0) << json;
+  EXPECT_EQ(metric_value(json, "dpg_guard_failures"), 0) << json;
+  EXPECT_EQ(metric_value(json, "dpg_guard_errors"), 0) << json;
+}
+
 // With no injection the same workload must finish with the ladder untouched.
 TEST(Preload, NoDegradationWithoutInjection) {
   char path_tmpl[] = "/tmp/dpg_metrics_XXXXXX";

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <cstdio>
 #include <cstring>
 #include <span>
+#include <vector>
 
 #include "vm/page.h"
 #include "vm/phys_arena.h"
@@ -37,6 +39,19 @@ TEST(PageRange, ContainsAndEnd) {
   EXPECT_TRUE(r.contains(0x10000 + 2 * kPageSize - 1));
   EXPECT_FALSE(r.contains(0x10000 + 2 * kPageSize));
   EXPECT_FALSE(r.contains(0xFFFF));
+}
+
+TEST(PageRange, CoalesceMergesAddressNeighbours) {
+  std::vector<PageRange> v{{0x30000, kPageSize},
+                           {0x10000, kPageSize},
+                           {0x11000, 2 * kPageSize},
+                           {0x2F000, kPageSize},
+                           {0x50000, kPageSize}};
+  coalesce(v);
+  const std::vector<PageRange> want{{0x10000, 3 * kPageSize},
+                                    {0x2F000, 2 * kPageSize},
+                                    {0x50000, kPageSize}};
+  EXPECT_EQ(v, want);
 }
 
 TEST(PhysArena, ExtendGrowsPhysicalBytes) {
@@ -122,6 +137,51 @@ TEST(PhysArena, MapFixedReplacesOldMapping) {
   EXPECT_EQ(again, shadow);
   EXPECT_EQ(shadow[0], '2');  // now aliases c2, and is RW again
   arena.unmap(shadow, kPageSize);
+}
+
+// Number of /proc/self/maps entries that overlap [lo, hi).
+std::size_t mappings_in(std::uintptr_t lo, std::uintptr_t hi) {
+  std::FILE* f = std::fopen("/proc/self/maps", "r");
+  if (f == nullptr) return 0;
+  std::size_t n = 0;
+  unsigned long a = 0, b = 0;
+  char line[512];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "%lx-%lx", &a, &b) == 2 && a < hi && b > lo) ++n;
+  }
+  std::fclose(f);
+  return n;
+}
+
+// Three neighbouring aliases of non-adjacent file offsets: revoked by
+// mprotect they stay three mappings, buried they become one, and the span
+// can be aliased again in place.
+TEST(PhysArena, BuriedNeighboursMergeIntoOneMapping) {
+  PhysArena arena(1u << 24);
+  auto* canon = static_cast<char*>(arena.extend(6 * kPageSize));
+  const std::size_t region_len = 3 * kPageSize;
+  auto* region = static_cast<char*>(
+      mmap(nullptr, region_len, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
+  ASSERT_NE(region, MAP_FAILED);
+  const std::uintptr_t lo = addr(region);
+  const std::uintptr_t hi = lo + region_len;
+  for (int i = 0; i < 3; ++i) {
+    (void)arena.map_shadow(canon + 2 * i * kPageSize, kPageSize,
+                           region + i * kPageSize);
+    region[i * kPageSize] = static_cast<char>('a' + i);
+  }
+  EXPECT_EQ(mappings_in(lo, hi), 3u);
+  PhysArena::protect_none(region, region_len);
+  EXPECT_EQ(mappings_in(lo, hi), 3u);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(arena.try_bury(region + i * kPageSize, kPageSize).ok());
+  }
+  EXPECT_EQ(mappings_in(lo, hi), 1u);
+  EXPECT_EQ(canon[2 * kPageSize], 'b');  // canonical memory untouched
+  auto* again = static_cast<char*>(
+      arena.map_shadow(canon + 4 * kPageSize, kPageSize, region + kPageSize));
+  EXPECT_EQ(again[0], 'c');
+  munmap(region, region_len);
 }
 
 TEST(PhysArena, ExhaustionThrowsBadAlloc) {

@@ -193,7 +193,8 @@ int main(int argc, char** argv) {
                 << " lanes=" << cfg.gen.lanes
                 << " tag_lane=" << (cfg.tag_lane ? 1 : 0)
                 << " tag_bits=" << cfg.tag_bits
-                << " recycle_cap=" << cfg.recycle_cap << "\n";
+                << " recycle_cap=" << cfg.recycle_cap
+                << " va_budget=" << cfg.va_budget << "\n";
     }
     return 0;
   }
